@@ -47,19 +47,64 @@ let create ~capacity =
     snapshot_age_g = Obs.Metrics.gauge "service.cache.snapshot_age_s";
   }
 
-(* Canonical rendering: every float at full [%.17g] precision so two
-   markets share a fingerprint iff they are bit-identical in every
-   parameter. The CP population reuses the Market_io wire form, which
-   is already the canonical column set. *)
-let population_fingerprint (m : Proto.market) =
-  Digest.to_hex
-    (Digest.string (Obs.Json.to_string (Experiments.Market_io.json_of_cps m.cps)))
+(* Canonical binary form, MD5-hashed: the IEEE-754 bits of every float,
+   length-prefixed names and counts, and a tag per demand and
+   throughput family, so two markets share a key iff they are
+   bit-identical in every parameter. No text is rendered; a leading
+   byte keeps the market and population keyspaces apart. *)
+let add_int b n = Buffer.add_int64_le b (Int64.of_int n)
 
-let fingerprint (m : Proto.market) =
-  let pop = Obs.Json.to_string (Experiments.Market_io.json_of_cps m.cps) in
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%.17g|%.17g|%.17g|%s" m.capacity m.price m.cap pop))
+let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+
+let add_cp b (cp : Econ.Cp.t) =
+  add_int b (String.length cp.name);
+  Buffer.add_string b cp.name;
+  (match Econ.Demand.spec cp.demand with
+  | Econ.Demand.Exponential { m0; alpha } ->
+    Buffer.add_char b 'e';
+    add_float b m0;
+    add_float b alpha
+  | Econ.Demand.Isoelastic { m0; alpha; scale } ->
+    Buffer.add_char b 'i';
+    add_float b m0;
+    add_float b alpha;
+    add_float b scale
+  | Econ.Demand.Logit { m0; slope; midpoint } ->
+    Buffer.add_char b 'l';
+    add_float b m0;
+    add_float b slope;
+    add_float b midpoint);
+  (match Econ.Throughput.spec cp.throughput with
+  | Econ.Throughput.Exponential { l0; beta } ->
+    Buffer.add_char b 'e';
+    add_float b l0;
+    add_float b beta
+  | Econ.Throughput.Isoelastic { l0; beta } ->
+    Buffer.add_char b 'i';
+    add_float b l0;
+    add_float b beta
+  | Econ.Throughput.Rational { l0; beta } ->
+    Buffer.add_char b 'r';
+    add_float b l0;
+    add_float b beta);
+  add_float b cp.value
+
+let digest ~knobs (m : Proto.market) =
+  let b = Buffer.create (32 + (64 * Array.length m.cps)) in
+  if knobs then begin
+    Buffer.add_char b 'M';
+    add_float b m.capacity;
+    add_float b m.price;
+    add_float b m.cap
+  end
+  else Buffer.add_char b 'P';
+  add_int b (Array.length m.cps);
+  Array.iter (add_cp b) m.cps;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let population_fingerprint m = digest ~knobs:false m
+
+let fingerprint m = digest ~knobs:true m
 
 let touch t entry =
   t.clock <- t.clock + 1;
@@ -144,11 +189,18 @@ let size t = Hashtbl.length t.table
 
 (* {2 Snapshot persistence}
 
-   One cache.v1 JSON document: every entry in recency order (oldest
+   One cache.v2 JSON document: every entry in recency order (oldest
    first), the solved payload in the exact wire shape. Written
    atomically and durably — a torn snapshot after a crash would turn
    the warm start into a cold one, which is exactly the failure the
-   snapshot exists to avoid. *)
+   snapshot exists to avoid.
+
+   The entries carry fingerprints but not the CPs they were derived
+   from, so a snapshot is only valid under the key scheme that wrote
+   it: cache.v1 held the older text-rendered keys, which nothing can
+   match any more, and is refused rather than loaded. *)
+
+let schema = "cache.v2"
 
 let entry_json fp (e : entry) =
   Obs.Json.Obj
@@ -170,7 +222,7 @@ let save t ~path =
   let doc =
     Obs.Json.Obj
       [
-        ("schema", Obs.Json.Str "cache.v1");
+        ("schema", Obs.Json.Str schema);
         ("saved_unix", Obs.Json.Num (Obs.Clock.now ()));
         ("entries", Obs.Json.Arr (List.map (fun (fp, e) -> entry_json fp e) entries));
       ]
@@ -239,7 +291,7 @@ let load_into t ~path =
         Error ("cache snapshot: unparsable: " ^ msg)
       | json -> (
         match (str_member "schema" json, Obs.Json.member "entries" json) with
-        | Ok "cache.v1", Some (Obs.Json.Arr items) -> (
+        | Ok v, Some (Obs.Json.Arr items) when String.equal v schema -> (
           let rec parse acc = function
             | [] -> Ok (List.rev acc)
             | item :: rest -> (
@@ -272,8 +324,12 @@ let load_into t ~path =
             in
             Obs.Metrics.set t.snapshot_age_g age_s;
             Ok { entries = List.length entries; age_s })
-        | Ok "cache.v1", _ -> Error "cache snapshot: missing entries array"
-        | Ok other, _ -> Error ("cache snapshot: unknown schema " ^ other)
+        | Ok v, _ when String.equal v schema ->
+          Error "cache snapshot: missing entries array"
+        | Ok other, _ ->
+          Error
+            (Printf.sprintf "cache snapshot: unknown schema %s (expected %s)" other
+               schema)
         | Error msg, _ -> Error msg))
 
 let stats t =

@@ -1,10 +1,12 @@
 (** Content-addressed equilibrium cache with warm-start seeding.
 
-    Two levels of reuse, both keyed off a canonical market rendering:
+    Two levels of reuse, both keyed off a canonical binary encoding of
+    the market (IEEE-754 bits of every parameter, length-prefixed
+    names, a tag per demand and throughput family), hashed with MD5:
 
     - {b Exact}: the full fingerprint (capacity, price, cap and every
-      CP parameter at [%.17g]) maps to the solved equilibrium; a
-      repeated request is answered without touching the solver.
+      CP parameter) maps to the solved equilibrium; a repeated request
+      is answered without touching the solver.
     - {b Neighbour}: the population fingerprint (CPs only) groups
       markets that differ only in [(price, cap, capacity)]; a miss
       whose population is known seeds {!Subsidization.Nash.solve} from
@@ -24,10 +26,13 @@ val create : capacity:int -> t
 (** Raises nothing; a non-positive capacity is clamped to 1. *)
 
 val fingerprint : Proto.market -> string
-(** Canonical content address (hex digest) of the whole market. *)
+(** Canonical content address (hex digest) of the whole market. Two
+    markets share it iff they are bit-identical in every parameter;
+    every demand and throughput family is covered. *)
 
 val population_fingerprint : Proto.market -> string
-(** Content address of the CP population alone. *)
+(** Content address of the CP population alone (ignores price, cap and
+    capacity). *)
 
 val find : t -> fingerprint:string -> Proto.solved option
 (** Exact lookup; refreshes recency and counts a hit or miss. *)
@@ -50,7 +55,7 @@ val stats : t -> stats
 
 (** {2 Snapshot persistence}
 
-    The whole cache as one [cache.v1] JSON document — every entry's
+    The whole cache as one [cache.v2] JSON document — every entry's
     scalar knobs, population fingerprint, recency tick and solved
     payload (wire shape) — so a restarted daemon warm-starts its
     keyspace instead of re-solving it. Snapshot-then-replay: the
@@ -67,6 +72,7 @@ type loaded = { entries : int; age_s : float }
 val load_into : t -> path:string -> (loaded, string) result
 (** Merge a snapshot into this cache, preserving the snapshot's
     relative LRU order (oldest re-inserted first) and evicting beyond
-    capacity. A missing file loads zero entries; a corrupt one is an
-    [Error] (the caller logs and starts cold). Sets the snapshot-age
-    gauge from the document's save timestamp. *)
+    capacity. A missing file loads zero entries; a corrupt one, or one
+    of another schema (a [cache.v1] file holds keys of the older text
+    rendering), is an [Error] (the caller logs and starts cold). Sets
+    the snapshot-age gauge from the document's save timestamp. *)

@@ -43,30 +43,33 @@ let connect ?netfault address =
   match injected with
   | Some e -> Error e
   | None -> (
-    match
-      match (address : Server.address) with
-      | Server.Unix_path path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-      | Server.Tcp { host; port } ->
-        let inet =
-          if String.equal host "" then Unix.inet_addr_loopback
-          else Unix.inet_addr_of_string host
-        in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_INET (inet, port));
-        fd
-    with
-    | fd ->
-      Ok { fd; inbox = Buffer.create 512; endpoint; netfault; alive = true }
-    | exception Unix.Unix_error (e, fn, _) ->
+    let refused e fn =
       Error
         (Conn_refused
            (Printf.sprintf "connect %s: %s (%s)" endpoint
               (Unix.error_message e) fn))
-    | exception Failure _ ->
-      Error (Conn_refused ("not a numeric host address in " ^ endpoint)))
+    in
+    (* a refused connect must not leak the socket it was tried on *)
+    let connect_on domain sockaddr =
+      match Unix.socket domain Unix.SOCK_STREAM 0 with
+      | exception Unix.Unix_error (e, fn, _) -> refused e fn
+      | fd -> (
+        match Unix.connect fd sockaddr with
+        | () -> Ok { fd; inbox = Buffer.create 512; endpoint; netfault; alive = true }
+        | exception Unix.Unix_error (e, fn, _) ->
+          (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
+          refused e fn)
+    in
+    match (address : Server.address) with
+    | Server.Unix_path path -> connect_on Unix.PF_UNIX (Unix.ADDR_UNIX path)
+    | Server.Tcp { host; port } -> (
+      match
+        if String.equal host "" then Unix.inet_addr_loopback
+        else Unix.inet_addr_of_string host
+      with
+      | inet -> connect_on Unix.PF_INET (Unix.ADDR_INET (inet, port))
+      | exception Failure _ ->
+        Error (Conn_refused ("not a numeric host address in " ^ endpoint))))
 
 let close t =
   t.alive <- false;

@@ -185,18 +185,19 @@ let solve_market ~limits ~retry ?rng ?x0 (market : Proto.market) =
 let solve_one ?cache ?(limits = Runner.Watchdog.no_limits)
     ?(retry = Runner.Supervisor.no_retry) ?rng ~params market =
   let limits = effective_limits limits params in
-  let fp = Cache.fingerprint market in
-  match Option.bind cache (fun c -> Cache.find c ~fingerprint:fp) with
-  | Some solved -> Ok solved
-  | None -> (
-    let x0 = Option.bind cache (fun c -> Cache.warm_start c market) in
-    match solve_market ~limits ~retry ?rng ?x0 market with
-    | Error _ as e -> e
-    | Ok solved ->
-      (match cache with
-      | Some c -> Cache.store c ~market ~fingerprint:fp solved
-      | None -> ());
-      Ok solved)
+  match cache with
+  | None -> solve_market ~limits ~retry ?rng market
+  | Some c -> (
+    let fp = Cache.fingerprint market in
+    match Cache.find c ~fingerprint:fp with
+    | Some solved -> Ok solved
+    | None -> (
+      let x0 = Cache.warm_start c market in
+      match solve_market ~limits ~retry ?rng ?x0 market with
+      | Error _ as e -> e
+      | Ok solved ->
+        Cache.store c ~market ~fingerprint:fp solved;
+        Ok solved))
 
 (* {2 Connections} *)
 

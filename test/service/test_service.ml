@@ -316,6 +316,186 @@ let test_cache_warm_start () =
     (Ca.warm_start cache (mk_market ~names:[| "x"; "y" |] ()) = None);
   Alcotest.(check int) "warm seeds counted" 2 (Ca.stats cache).Ca.warm_seeds
 
+(* Fingerprint properties ------------------------------------------- *)
+
+(* Every demand x throughput family pair once, parameters drawn from
+   [rng]: the CPs the wire format cannot carry but the cache must key. *)
+let family_cps rng =
+  let u () = Numerics.Rng.uniform rng ~lo:0.5 ~hi:2.5 in
+  let demands =
+    [
+      (fun () -> Econ.Demand.Exponential { m0 = u (); alpha = u () });
+      (fun () -> Econ.Demand.Isoelastic { m0 = u (); alpha = u (); scale = u () });
+      (fun () -> Econ.Demand.Logit { m0 = u (); slope = u (); midpoint = u () });
+    ]
+  and throughputs =
+    [
+      (fun () -> Econ.Throughput.Exponential { l0 = u (); beta = u () });
+      (fun () -> Econ.Throughput.Isoelastic { l0 = u (); beta = u () });
+      (fun () -> Econ.Throughput.Rational { l0 = u (); beta = u () });
+    ]
+  in
+  List.concat_map
+    (fun demand -> List.map (fun throughput -> (demand, throughput)) throughputs)
+    demands
+  |> List.mapi (fun i (demand, throughput) ->
+         Econ.Cp.make ~name:(Printf.sprintf "f%d" i)
+           ~demand:(Econ.Demand.make (demand ()))
+           ~throughput:(Econ.Throughput.make (throughput ()))
+           ~value:(u ()) ())
+  |> Array.of_list
+
+(* Per QCheck seed, split draws: a few wire-shaped Loadgen markets and
+   one market holding every family pair. *)
+let markets_gen =
+  QCheck2.Gen.map
+    (fun rng ->
+      let draws = Numerics.Rng.split_n rng 4 in
+      let wire =
+        List.map Service.Loadgen.random_market [ draws.(0); draws.(1); draws.(2) ]
+      in
+      let families =
+        { (Service.Loadgen.random_market draws.(3)) with P.cps = family_cps draws.(3) }
+      in
+      (wire, families))
+    rng_gen
+
+(* Every market one parameter away: each scalar knob and each CP
+   parameter moved to its [Float.succ], each CP renamed, each demand
+   and throughput family swapped for another. The flag says whether the
+   change touches the population. *)
+let one_step_variants (m : P.market) =
+  let s = Float.succ in
+  let knobs =
+    [
+      { m with P.capacity = s m.P.capacity };
+      { m with P.price = s m.P.price };
+      { m with P.cap = s m.P.cap };
+    ]
+  in
+  let demands = function
+    | Econ.Demand.Exponential { m0; alpha } ->
+      Econ.Demand.
+        [
+          Exponential { m0 = s m0; alpha };
+          Exponential { m0; alpha = s alpha };
+          Isoelastic { m0; alpha; scale = 1. };
+        ]
+    | Econ.Demand.Isoelastic { m0; alpha; scale } ->
+      Econ.Demand.
+        [
+          Isoelastic { m0 = s m0; alpha; scale };
+          Isoelastic { m0; alpha = s alpha; scale };
+          Isoelastic { m0; alpha; scale = s scale };
+          Exponential { m0; alpha };
+        ]
+    | Econ.Demand.Logit { m0; slope; midpoint } ->
+      Econ.Demand.
+        [
+          Logit { m0 = s m0; slope; midpoint };
+          Logit { m0; slope = s slope; midpoint };
+          Logit { m0; slope; midpoint = s midpoint };
+          Isoelastic { m0; alpha = slope; scale = midpoint };
+        ]
+  in
+  let throughputs = function
+    | Econ.Throughput.Exponential { l0; beta } ->
+      Econ.Throughput.
+        [
+          Exponential { l0 = s l0; beta };
+          Exponential { l0; beta = s beta };
+          Isoelastic { l0; beta };
+        ]
+    | Econ.Throughput.Isoelastic { l0; beta } ->
+      Econ.Throughput.
+        [
+          Isoelastic { l0 = s l0; beta };
+          Isoelastic { l0; beta = s beta };
+          Rational { l0; beta };
+        ]
+    | Econ.Throughput.Rational { l0; beta } ->
+      Econ.Throughput.
+        [
+          Rational { l0 = s l0; beta };
+          Rational { l0; beta = s beta };
+          Exponential { l0; beta };
+        ]
+  in
+  let with_cp i cp =
+    let cps = Array.copy m.P.cps in
+    cps.(i) <- cp;
+    { m with P.cps }
+  in
+  let population =
+    List.concat
+      (List.mapi
+         (fun i (cp : Econ.Cp.t) ->
+           (with_cp i { cp with Econ.Cp.name = cp.Econ.Cp.name ^ "'" })
+           :: with_cp i { cp with Econ.Cp.value = s cp.Econ.Cp.value }
+           :: List.map
+                (fun d -> with_cp i { cp with Econ.Cp.demand = Econ.Demand.make d })
+                (demands (Econ.Demand.spec cp.Econ.Cp.demand))
+           @ List.map
+               (fun t -> with_cp i { cp with Econ.Cp.throughput = Econ.Throughput.make t })
+               (throughputs (Econ.Throughput.spec cp.Econ.Cp.throughput)))
+         (Array.to_list m.P.cps))
+  in
+  List.map (fun v -> (false, v)) knobs @ List.map (fun v -> (true, v)) population
+
+let all_markets (wire, families) = families :: wire
+
+(* A fleet client routes on the market it holds and the daemon keys
+   the one it decoded, so both must fingerprint alike. *)
+let prop_fingerprint_survives_the_wire =
+  prop ~count:200 "cache: fingerprint survives request_to_line/of_line" markets_gen
+    (fun (wire, _) ->
+      List.for_all
+        (fun market ->
+          let line =
+            P.request_to_line (P.Solve { id = "q"; market; params = P.no_params })
+          in
+          match P.request_of_line line with
+          | Ok (P.Solve { market = decoded; _ }) ->
+            String.equal (Ca.fingerprint market) (Ca.fingerprint decoded)
+          | Ok _ | Error _ -> false)
+        wire)
+
+let prop_one_step_changes_the_key =
+  prop ~count:100 "cache: any one-ulp or name change moves the key" markets_gen
+    (fun draws ->
+      List.for_all
+        (fun m ->
+          let fp = Ca.fingerprint m and pop = Ca.population_fingerprint m in
+          List.for_all
+            (fun (touches_population, v) ->
+              (not (String.equal fp (Ca.fingerprint v)))
+              && Bool.equal touches_population
+                   (not (String.equal pop (Ca.population_fingerprint v))))
+            (one_step_variants m))
+        (all_markets draws))
+
+let prop_population_ignores_knobs =
+  prop ~count:200 "cache: population fingerprint ignores price, cap, capacity"
+    markets_gen (fun draws ->
+      let markets = all_markets draws in
+      List.for_all
+        (fun (m : P.market) ->
+          List.for_all
+            (fun (o : P.market) ->
+              String.equal (Ca.population_fingerprint m)
+                (Ca.population_fingerprint { o with P.cps = m.P.cps }))
+            markets)
+        markets)
+
+let prop_every_family_fingerprints =
+  prop ~count:200 "cache: every demand and throughput family fingerprints"
+    markets_gen (fun (_, families) ->
+      let hex s = String.length s = 32 in
+      (* whole and population keys never coincide *)
+      hex (Ca.fingerprint families)
+      && hex (Ca.population_fingerprint families)
+      && not (String.equal (Ca.fingerprint families) (Ca.population_fingerprint families)))
+
 (* Queue guard ------------------------------------------------------- *)
 
 let test_queue_guard () =
@@ -435,7 +615,9 @@ let test_solve_one_degrades_on_budget () =
 
 (* Forked end-to-end daemon ------------------------------------------ *)
 
-let fork_server ?(allow_chaos = false) ?journal ?snapshot ~socket () =
+(* [warnings], when given, is a file the child appends each of its
+   [Warning] events to, one per line. *)
+let fork_server ?(allow_chaos = false) ?journal ?snapshot ?warnings ~socket () =
   match Unix.fork () with
   | 0 ->
     (* the child sizes its own pool: domains never survive a fork, so
@@ -450,7 +632,17 @@ let fork_server ?(allow_chaos = false) ?journal ?snapshot ~socket () =
         allow_chaos;
       }
     in
-    let code = match Sv.run cfg with Ok () -> 0 | Error _ -> 3 in
+    let on_event =
+      Option.map
+        (fun path -> function
+          | Sv.Warning msg ->
+            let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+            output_string oc (msg ^ "\n");
+            close_out oc
+          | _ -> ())
+        warnings
+    in
+    let code = match Sv.run ?on_event cfg with Ok () -> 0 | Error _ -> 3 in
     Unix._exit code
   | pid -> pid
 
@@ -471,9 +663,9 @@ let wait_exit pid =
   | _, Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
   | _, Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped"
 
-let with_daemon ?allow_chaos ?journal f =
+let with_daemon ?allow_chaos ?journal ?snapshot ?warnings f =
   let socket = fresh_path ".sock" in
-  let pid = fork_server ?allow_chaos ?journal ~socket () in
+  let pid = fork_server ?allow_chaos ?journal ?snapshot ?warnings ~socket () in
   let finally () =
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
     (try ignore (Unix.waitpid [] pid) with Unix.Unix_error (_, _, _) -> ());
@@ -917,11 +1109,72 @@ let test_cache_snapshot_roundtrip () =
   | [] -> assert false);
   (* corruption is a typed error, never a crash *)
   let oc = open_out path in
-  output_string oc "{\"schema\":\"cache.v1\",\"entries\":[{\"fp\":1}]}\n";
+  output_string oc "{\"schema\":\"cache.v2\",\"entries\":[{\"fp\":1}]}\n";
   close_out oc;
   check_true "corrupt snapshot is an error"
     (Result.is_error (Ca.load_into (Ca.create ~capacity:4) ~path));
   Sys.remove path
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let snapshot_schema path =
+  Obs.Json.member "schema" (Obs.Json.of_string (read_file path))
+
+(* Rewrite a saved snapshot under another schema tag: a well-formed
+   document whose keys the current fingerprint will never produce. *)
+let write_snapshot_as ~schema ~path markets =
+  let cache = Ca.create ~capacity:8 in
+  List.iter
+    (fun m -> Ca.store cache ~market:m ~fingerprint:(Ca.fingerprint m) (mk_solved ()))
+    markets;
+  ignore (get_ok (Ca.save cache ~path));
+  let doc = Obs.Json.of_string (read_file path) in
+  check_true "saved snapshot is cache.v2"
+    (Obs.Json.member "schema" doc = Some (Obs.Json.Str "cache.v2"));
+  let retagged =
+    match doc with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "schema" then (k, Obs.Json.Str schema) else (k, v))
+           fields)
+    | _ -> Alcotest.fail "snapshot is not an object"
+  in
+  let oc = open_out_bin path in
+  output_string oc (Obs.Json.to_string retagged);
+  close_out oc
+
+let test_cache_snapshot_schema () =
+  let path = fresh_path ".snapshot" in
+  let m = mk_market () in
+  write_snapshot_as ~schema:"cache.v1" ~path [ m ];
+  let cache = Ca.create ~capacity:8 in
+  (match Ca.load_into cache ~path with
+  | Ok _ -> Alcotest.fail "a cache.v1 snapshot was loaded"
+  | Error msg ->
+    check_true "the error names the schema" (contains msg "cache.v1"));
+  Alcotest.(check int) "nothing was loaded" 0 (Ca.size cache);
+  check_true "a refused snapshot seeds nothing" (Ca.warm_start cache m = None);
+  Sys.remove path
+
+(* Client ------------------------------------------------------------ *)
+
+let test_client_connect_no_fd_leak () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let missing = Sv.Unix_path (fresh_path ".sock") in
+    let before = open_fds () in
+    for _ = 1 to 200 do
+      match Cl.connect missing with
+      | Ok _ -> Alcotest.fail "connected to a socket that does not exist"
+      | Error (Cl.Conn_refused _) -> ()
+      | Error e -> Alcotest.failf "unexpected error: %s" (Cl.error_to_string e)
+    done;
+    Alcotest.(check int) "refused connects leave no fd behind" before (open_fds ())
+  end
 
 (* Journal compaction ------------------------------------------------ *)
 
@@ -1090,6 +1343,8 @@ let test_snapshot_warm_restart () =
   shutdown_and_wait ~label:"first daemon" client pid1;
   (try Sys.remove socket1 with Sys_error _ -> ());
   check_true "drain wrote the snapshot" (Sys.file_exists snapshot);
+  check_true "the snapshot is cache.v2"
+    (snapshot_schema snapshot = Some (Obs.Json.Str "cache.v2"));
   (* a fresh process on the same snapshot answers the repeated
      fingerprint from the reloaded cache: zero solver evaluations,
      strictly cheaper than the cold solve above *)
@@ -1123,6 +1378,31 @@ let test_snapshot_warm_restart () =
     | None -> Alcotest.fail "no cache.hits counter"));
   shutdown_and_wait ~label:"restarted daemon" client2 pid2;
   (try Sys.remove socket2 with Sys_error _ -> ());
+  Sys.remove snapshot
+
+let test_snapshot_v1_starts_cold () =
+  let snapshot = fresh_path ".snapshot" in
+  let warnings = fresh_path ".warnings" in
+  let market = mk_market () in
+  write_snapshot_as ~schema:"cache.v1" ~path:snapshot [ market ];
+  (with_daemon ~snapshot ~warnings @@ fun ~socket ~pid ->
+   let client = connect_retry (Sv.Unix_path socket) in
+   (match call client (P.Solve { id = "v1"; market; params = P.no_params }) with
+   | Ok (P.Solved { result; _ }) ->
+     check_true "a cache.v1 entry is never served" (result.P.cache = P.Cold)
+   | Ok r -> Alcotest.failf "solve answered with %s" (P.response_to_line r)
+   | Error msg -> Alcotest.failf "solve failed: %s" msg);
+   shutdown_and_wait ~label:"cold daemon" client pid);
+  let logged =
+    if Sys.file_exists warnings then begin
+      let s = read_file warnings in
+      Sys.remove warnings;
+      s
+    end
+    else ""
+  in
+  check_true "the daemon warned about the old snapshot"
+    (contains logged "cache.v1");
   Sys.remove snapshot
 
 (* Fleet failover under SIGKILL (forked, 3 shards) ------------------- *)
@@ -1233,6 +1513,10 @@ let suite =
       quick "cache: exact hit and stats" test_cache_hit_and_stats;
       quick "cache: LRU eviction" test_cache_lru_eviction;
       quick "cache: warm start picks the nearest neighbour" test_cache_warm_start;
+      prop_fingerprint_survives_the_wire;
+      prop_one_step_changes_the_key;
+      prop_population_ignores_knobs;
+      prop_every_family_fingerprints;
       quick "queue: bounded FIFO admission" test_queue_guard;
       quick "journal: record and recover" test_journal_roundtrip;
       quick "journal: missing file is empty" test_journal_missing_file;
@@ -1250,6 +1534,8 @@ let suite =
       quick "shard: fleet manifest round-trips the ring"
         test_shard_manifest_roundtrip;
       quick "cache: snapshot save/load round-trip" test_cache_snapshot_roundtrip;
+      quick "cache: a cache.v1 snapshot is refused" test_cache_snapshot_schema;
+      quick "client: refused connects leak no fd" test_client_connect_no_fd_leak;
       quick "journal: compaction keeps pending, floors seq"
         test_journal_compaction;
       quick "pool: breaker trips and fails fast on a dead fleet"
@@ -1258,6 +1544,8 @@ let suite =
         test_pool_fails_over_to_live_shard;
       quick "daemon: cache snapshot warm-starts a restart"
         test_snapshot_warm_restart;
+      quick "daemon: a cache.v1 snapshot is refused, the daemon serves cold"
+        test_snapshot_v1_starts_cold;
       quick "fleet: SIGKILL one of three shards, failover and recovery"
         test_fleet_failover_sigkill;
     ] )
