@@ -2,21 +2,31 @@
     histograms, each optionally carrying labels such as
     [("layer", "utilization"); ("method", "brent")].
 
-    Handles are cheap mutable cells: registering the same name + label
-    set twice (label order irrelevant) returns the {e same} underlying
-    series, so hot paths create their handles once and pay a single
-    in-place update per event. Histograms bucket geometrically (24
-    buckets per decade over [1e-9, 1e9)), which keeps percentile
-    estimates within ~5% relative error at any scale — enough to
-    localize a regression without storing samples.
+    Handles are cheap: registering the same name + label set twice
+    (label order irrelevant) returns the {e same} underlying series, so
+    hot paths create their handles once and pay a single in-place update
+    per event. Histograms bucket geometrically (24 buckets per decade
+    over [1e-9, 1e9)), which keeps percentile estimates within ~5%
+    relative error at any scale — enough to localize a regression
+    without storing samples.
 
-    Every operation — registration, cell updates, reads, {!snapshot},
-    {!reset} — is serialized behind one process-wide mutex, so handles
-    may be shared freely across domains (pool workers increment the
-    same series the main domain reads) and a snapshot is always a
-    consistent cut. The critical sections are a few float stores; the
-    lock is uncontended until many domains hammer the same registry,
-    which is the accepted cost of linearizable telemetry. *)
+    Counters and histograms are sharded per domain: each domain writes
+    its own flat float block of a series, created on that domain's first
+    write to it, so {!incr} and {!observe} take no lock and allocate
+    nothing, and handles may be shared freely across domains (pool
+    workers increment the same series the main domain reads). Readers —
+    {!counter_value}, {!percentile}, {!summarize}, {!snapshot},
+    {!sum_counters}, {!sum_histograms} — merge every domain's block
+    under the registry lock, and {!reset} zeroes every domain's block.
+    When a domain exits, its blocks are folded into a retired shard, so
+    its counts outlive it.
+
+    Totals are exact once the writers are quiescent, for example after
+    [Parallel.Pool.run_tasks] returns. A read that runs concurrently
+    with writers sees each domain's block at some instant, not one cut
+    across all domains; an update racing a {!reset} may land on either
+    side of it. Gauges, registration and reads stay serialized behind
+    the one lock (last write wins). *)
 
 type labels = (string * string) list
 (** Label sets are normalized (sorted by key) on registration. *)

@@ -1,5 +1,6 @@
 (* Instrumentation suite: span nesting and exception safety, histogram
    percentile math against known distributions, counter label merging,
+   exact totals when domains share metric handles (and after they exit),
    trace/metrics JSON round-trips through the parser, and an
    integration check that a Nash solve on the paper's fig7 game leaves
    spans for every layer of the equilibrium pipeline. *)
@@ -677,6 +678,165 @@ let test_histogram_extreme_values () =
     | (_, last) :: _ -> last = s.Obs.Metrics.count
     | [] -> false)
 
+(* ------------------------------------------------------------------ *)
+(* metrics across domains *)
+
+(* the fields of two summaries that differ: everything exact except
+   [sum], whose addition order follows the split across domains *)
+let summary_diffs (a : Obs.Metrics.summary) (b : Obs.Metrics.summary) =
+  let same_float x y = Float.equal x y in
+  List.filter_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ("count", a.count = b.count);
+      ("min", same_float a.min b.min);
+      ("max", same_float a.max b.max);
+      ("p50", same_float a.p50 b.p50);
+      ("p90", same_float a.p90 b.p90);
+      ("p99", same_float a.p99 b.p99);
+      ("buckets", a.buckets = b.buckets);
+      ("buckets_le", a.buckets_le = b.buckets_le);
+      ( "sum",
+        Float.abs (a.sum -. b.sum)
+        <= 1e-12 *. Float.max (Float.abs a.sum) (Float.abs b.sum) );
+    ]
+
+let await cond = while not (cond ()) do Domain.cpu_relax () done
+
+(* domain [d]'s [i]-th sample: eight decades plus an underflow zero *)
+let shard_sample d i =
+  if i mod 997 = 0 then 0.
+  else float_of_int ((((i * 7919) + (d * 104729)) mod 100_000) + 1) *. 1e-7
+
+let test_metrics_exact_across_domains () =
+  Obs.Metrics.reset ~prefix:"t.shard" ();
+  let domains = 4 and per_domain = 100_000 in
+  let c = Obs.Metrics.counter ~labels:[ ("part", "a") ] "t.shard.c" in
+  let c_b = Obs.Metrics.counter ~labels:[ ("part", "b") ] "t.shard.c" in
+  let h = Obs.Metrics.histogram "t.shard.h" in
+  let late = Atomic.make None in
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let release = Atomic.make false in
+  let worker d () =
+    Obs.Metrics.incr c;
+    Obs.Metrics.observe h (shard_sample d 0);
+    Atomic.incr started;
+    (* a series registered after this domain's first writes *)
+    await (fun () -> Option.is_some (Atomic.get late));
+    let late = Option.get (Atomic.get late) in
+    for i = 1 to per_domain - 1 do
+      Obs.Metrics.incr c;
+      Obs.Metrics.incr ~by:2. c_b;
+      Obs.Metrics.observe h (shard_sample d i);
+      Obs.Metrics.incr late
+    done;
+    Atomic.incr finished;
+    await (fun () -> Atomic.get release);
+    (* one write after the reset below: the zeroed block still counts *)
+    Obs.Metrics.incr c
+  in
+  let spawned = List.init domains (fun d -> Domain.spawn (worker d)) in
+  await (fun () -> Atomic.get started = domains);
+  Atomic.set late (Some (Obs.Metrics.counter "t.shard.late"));
+  await (fun () -> Atomic.get finished = domains);
+  (* the single-domain reference: the same samples from this domain *)
+  let h1 = Obs.Metrics.histogram "t.shard1.h" in
+  for d = 0 to domains - 1 do
+    for i = 0 to per_domain - 1 do
+      Obs.Metrics.observe h1 (shard_sample d i)
+    done
+  done;
+  let n = float_of_int (domains * per_domain) in
+  Alcotest.(check (float 0.)) "counter_value" n (Obs.Metrics.counter_value c);
+  Alcotest.(check (float 0.))
+    "late series" (n -. float_of_int domains)
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "t.shard.late"));
+  Alcotest.(check (float 0.))
+    "sum_counters over both label sets"
+    (n +. (2. *. (n -. float_of_int domains)))
+    (Obs.Metrics.sum_counters "t.shard.c");
+  Alcotest.(check (list string))
+    "summary equals the single-domain one" []
+    (summary_diffs (Obs.Metrics.summarize h1) (Obs.Metrics.summarize h));
+  check_close ~tol:1e-12 "sum_histograms"
+    (Obs.Metrics.sum_histograms "t.shard1.h")
+    (Obs.Metrics.sum_histograms "t.shard.h");
+  Obs.Metrics.reset ~prefix:"t.shard." ();
+  Alcotest.(check (float 0.)) "reset zeroes every domain" 0. (Obs.Metrics.sum_counters "t.shard.c");
+  Alcotest.(check int) "reset empties the histogram" 0 (Obs.Metrics.summarize h).count;
+  Atomic.set release true;
+  List.iter Domain.join spawned;
+  Alcotest.(check (float 0.))
+    "writes after the reset, from exited domains" (float_of_int domains)
+    (Obs.Metrics.counter_value c);
+  Alcotest.(check (float 0.))
+    "late series stays reset" 0.
+    (Obs.Metrics.counter_value (Obs.Metrics.counter "t.shard.late"))
+
+let sample_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return 0.;
+        float_range 1e-12 1e-9;
+        map (fun e -> Float.pow 10. e) (float_range (-9.) 9.5);
+      ])
+
+let prop_split_across_domains =
+  prop ~count:40 "any split across domains summarizes like one domain"
+    QCheck2.Gen.(list_size (int_range 0 200) (pair sample_gen (int_range 0 3)))
+    (fun samples ->
+      Obs.Metrics.reset ~prefix:"t.split." ();
+      let one = Obs.Metrics.histogram "t.split.one" in
+      let many = Obs.Metrics.histogram "t.split.many" in
+      List.iter (fun (x, _) -> Obs.Metrics.observe one x) samples;
+      List.init 4 (fun d ->
+          Domain.spawn (fun () ->
+              List.iter
+                (fun (x, owner) -> if owner = d then Obs.Metrics.observe many x)
+                samples))
+      |> List.iter Domain.join;
+      summary_diffs (Obs.Metrics.summarize one) (Obs.Metrics.summarize many) = [])
+
+let test_metrics_survive_domain_exit () =
+  Obs.Metrics.reset ~prefix:"t.exit." ();
+  let c = Obs.Metrics.counter "t.exit.c" in
+  let h = Obs.Metrics.histogram "t.exit.h" in
+  let per_task = 1000 in
+  for cycle = 1 to 50 do
+    let pool = Parallel.Pool.create ~domains:2 () in
+    let running = Atomic.make 0 in
+    (* two tasks that wait for each other, so the worker domain runs one *)
+    let task () =
+      Atomic.incr running;
+      await (fun () -> Atomic.get running >= 2);
+      for _ = 1 to per_task do
+        Obs.Metrics.incr c
+      done;
+      Obs.Metrics.observe h 1e-3
+    in
+    Parallel.Pool.run_tasks pool [| task; task |];
+    Parallel.Pool.shutdown pool;
+    let snapshot = Obs.Metrics.snapshot ~prefix:"t.exit." () in
+    Alcotest.(check int) "both series in the snapshot" 2 (List.length snapshot);
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "counter after cycle %d" cycle)
+      (float_of_int (2 * per_task * cycle))
+      (Obs.Metrics.counter_value c);
+    Alcotest.(check int)
+      (Printf.sprintf "histogram count after cycle %d" cycle)
+      (2 * cycle) (Obs.Metrics.summarize h).count
+  done;
+  (* exit hooks run last-registered first: this one, registered before
+     the domain's first write, runs after its blocks were retired *)
+  let late = Obs.Metrics.counter "t.exit.late" in
+  Domain.join
+    (Domain.spawn (fun () ->
+         Domain.at_exit (fun () -> Obs.Metrics.incr late);
+         Obs.Metrics.incr late));
+  Alcotest.(check (float 0.)) "a write from a later exit hook counts" 2.
+    (Obs.Metrics.counter_value late)
+
 let () =
   Alcotest.run "obs"
     [
@@ -692,6 +852,12 @@ let () =
           quick "underflow bucket" test_histogram_underflow;
           quick "percentiles: point masses exact" test_histogram_point_masses;
           quick "percentiles: extreme decades clamp" test_histogram_extreme_values;
+        ] );
+      ( "domains",
+        [
+          quick "totals exact across 4 domains" test_metrics_exact_across_domains;
+          prop_split_across_domains;
+          quick "counts of exited domains survive" test_metrics_survive_domain_exit;
         ] );
       ( "log",
         [

@@ -2,7 +2,8 @@
    exception transport, chunk-local warm-start state, cross-domain
    propagation of watchdog probes and chaos faults, and the determinism
    contract at the experiment level — `--jobs 1` and `--jobs 4` must
-   produce byte-identical CSVs for the grid experiments. *)
+   produce byte-identical CSVs and identical solver counts for the grid
+   experiments. *)
 
 open Test_helpers
 
@@ -242,27 +243,44 @@ let csv_bytes ~dir id =
   Sys.readdir sub |> Array.to_list |> List.sort compare
   |> List.map (fun f -> (f, read_file (Filename.concat sub f)))
 
+(* the run's solver work, summed over every domain that did it *)
+let solver_counts () =
+  [
+    ("solver.root.calls", Obs.Metrics.sum_counters "solver.root.calls");
+    ("solver.evaluations sum", Obs.Metrics.sum_histograms "solver.evaluations");
+    ("continuation.steps", Obs.Metrics.sum_counters "continuation.steps");
+    ("numerics.deriv.ad", Obs.Metrics.sum_counters "numerics.deriv.ad");
+  ]
+
 let run_and_save ~jobs ~dir id =
   Parallel.Runtime.set_jobs jobs;
   let outcome = Experiments.Common.run (Experiments.Registry.find_exn id) in
-  Experiments.Common.save outcome ~dir
+  Experiments.Common.save outcome ~dir;
+  solver_counts ()
 
 let test_jobs_determinism () =
   (* the acceptance bar of the determinism contract: `--jobs 1` and
      `--jobs 4` regenerate byte-identical CSVs (on a single-core host
      the 4 domains still interleave, so this exercises real scheduling
-     nondeterminism) *)
+     nondeterminism) from identical solver work: a metric update lost
+     between domains would show in the counts *)
   let d1 = Filename.temp_dir "subs-jobs1-" "" in
   let d4 = Filename.temp_dir "subs-jobs4-" "" in
   List.iter
     (fun id ->
-      run_and_save ~jobs:1 ~dir:d1 id;
-      run_and_save ~jobs:4 ~dir:d4 id;
+      let counts1 = run_and_save ~jobs:1 ~dir:d1 id in
+      let counts4 = run_and_save ~jobs:4 ~dir:d4 id in
       let a = csv_bytes ~dir:d1 id and b = csv_bytes ~dir:d4 id in
       Alcotest.(check (list (pair string string)))
         (Printf.sprintf "%s CSVs byte-identical at jobs 1 and 4" id)
         a b;
-      check_true (Printf.sprintf "%s produced CSVs" id) (a <> []))
+      check_true (Printf.sprintf "%s produced CSVs" id) (a <> []);
+      Alcotest.(check (list (pair string (float 0.))))
+        (Printf.sprintf "%s solver counts identical at jobs 1 and 4" id)
+        counts1 counts4;
+      check_true
+        (Printf.sprintf "%s counted root calls" id)
+        (List.assoc "solver.root.calls" counts1 > 0.))
     [ "capacity"; "duopoly" ]
 
 let test_robustness_jobs_determinism () =
