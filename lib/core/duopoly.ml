@@ -68,20 +68,16 @@ let systems d =
 let states d ~prices ~subsidies =
   let ma, mb = split_populations d ~prices ~subsidies in
   let sys_a, sys_b = systems d in
-  (* continuation mode carries each ISP's utilization across the many
-     nearby solves a best-response sweep makes *)
-  let warm = Continuation.fast () in
-  let guess cache = if warm then Some cache else None in
+  (* carry each ISP's utilization across the many nearby solves a
+     best-response sweep makes *)
   let st_a =
-    System.solve_fixed_populations ?phi_guess:(guess d.phi_cache_a) sys_a ~populations:ma
+    System.solve_fixed_populations ~phi_guess:d.phi_cache_a sys_a ~populations:ma
   in
   let st_b =
-    System.solve_fixed_populations ?phi_guess:(guess d.phi_cache_b) sys_b ~populations:mb
+    System.solve_fixed_populations ~phi_guess:d.phi_cache_b sys_b ~populations:mb
   in
-  if warm then begin
-    d.phi_cache_a <- Float.max st_a.System.phi 1e-6;
-    d.phi_cache_b <- Float.max st_b.System.phi 1e-6
-  end;
+  d.phi_cache_a <- Float.max st_a.System.phi 1e-6;
+  d.phi_cache_b <- Float.max st_b.System.phi 1e-6;
   (st_a, st_b)
 
 let total_throughputs (st_a : System.state) (st_b : System.state) =

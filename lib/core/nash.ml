@@ -123,27 +123,10 @@ let multistart_spread ?(starts = 5) rng game =
              o.Gametheory.Best_response.profile))
       0. rest
 
-(* no explicit step + Fast mode -> exact dual-pass Jacobian; an explicit
-   [~h] (or Legacy mode) keeps the central-difference stencil *)
-let marginal_jacobian ?h game ~subsidies =
-  let n = Subsidy_game.dim game in
-  let j =
-    match h with
-    | None when Continuation.fast () ->
-      Subsidy_game.marginal_jacobian_exact game ~subsidies
-    | _ ->
-      let h = Option.value h ~default:1e-6 in
-      Diff.jacobian ~h
-        (fun s -> Subsidy_game.marginal_utilities game ~subsidies:s)
-        subsidies
-  in
-  assert (Mat.rows j = n && Mat.cols j = n);
-  j
-
-let off_diagonal_monotone ?h game ~subsidies =
-  let j = marginal_jacobian ?h game ~subsidies in
+let off_diagonal_monotone game ~subsidies =
+  let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
   Gametheory.Matrix_props.is_off_diagonally_nonnegative ~tol:1e-8 j
 
 let jacobian_is_p_matrix game ~subsidies =
-  let j = marginal_jacobian game ~subsidies in
+  let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
   Gametheory.Matrix_props.is_p_matrix ~tol:0. (Mat.scale (-1.) j)

@@ -30,8 +30,8 @@ val solve :
   equilibrium
 (** Iterated best response from [x0] (default: the zero profile).
     [fused] (default true) is forwarded to {!Subsidy_game.to_game}:
-    pass [false] to force the legacy grid-scan best responses even in
-    [Fast] continuation mode (the ablation's pre-continuation variant).
+    pass [false] for the grid-scan best responses over the analytic
+    marginals (the ablation's pre-continuation variant).
     Raises {!Numerics.Robust.Solver_error} when the underlying
     utilization equilibrium is numerically unsolvable at some profile
     (after the whole fallback chain has been tried). *)
@@ -85,12 +85,11 @@ val multistart_spread :
     of the converged equilibria: a numerical probe of the Theorem-4
     uniqueness condition (0 when unique). *)
 
-val off_diagonal_monotone :
-  ?h:float -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> bool
+val off_diagonal_monotone : Subsidy_game.t -> subsidies:Numerics.Vec.t -> bool
 (** Whether [du_i/ds_j >= 0] for all [i <> j] at the profile (the
-    Corollary-1 Leontief stability condition), by central differences of
-    the analytic marginals. *)
+    Corollary-1 Leontief stability condition), read off the exact
+    dual-number Jacobian {!Subsidy_game.marginal_jacobian_exact}. *)
 
 val jacobian_is_p_matrix : Subsidy_game.t -> subsidies:Numerics.Vec.t -> bool
-(** Whether [-grad_s u] is a P-matrix at the profile: the local
-    sufficient condition in Theorem 4 for uniqueness. *)
+(** Whether [-grad_s u] is a P-matrix at the profile (exact Jacobian):
+    the local sufficient condition in Theorem 4 for uniqueness. *)

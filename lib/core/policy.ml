@@ -24,7 +24,7 @@ let point_at sys ~price ~cap =
 
 (* one grid cell: Nash at (price, cap) predicted from the previous
    cells on the chunk's continuation track (secant through the last
-   two equilibria in Fast mode, plain warm start in Legacy) *)
+   two equilibria) *)
 let sweep_step sys ~cap track price =
   let solve () =
     let game = Subsidy_game.make sys ~price ~cap in

@@ -46,8 +46,7 @@ let marginal_numeric ?(h = 1e-5) game =
   else (revenue_at (p +. h) -. revenue_at (p -. h)) /. (2. *. h)
 
 (* one price cell of a revenue scan, driven through the continuation
-   track: secant-predicted subsidies in Fast mode, plain warm start in
-   Legacy *)
+   track: subsidies secant-predicted from the previous cells *)
 let equilibrium_cell track game p =
   let g = Subsidy_game.with_price game p in
   let eq =

@@ -30,8 +30,8 @@ val marginal_numeric : ?h:float -> Subsidy_game.t -> float
 val curve :
   Subsidy_game.t -> prices:float array -> (float * Nash.equilibrium * float) array
 (** [(p, equilibrium(p), R(p))] along a price grid, each solve
-    continuation-predicted from the previous cells (secant in [Fast]
-    mode, plain warm start in [Legacy]). *)
+    continuation-predicted from the previous cells (secant through the
+    last two, plain warm start after the first). *)
 
 val optimal_price :
   ?p_max:float ->

@@ -15,39 +15,12 @@ let partition ?tol game ~subsidies =
     upper = collect Nash.Upper;
   }
 
-(* no explicit step + Fast mode -> exact dual-pass derivatives; an
-   explicit [~h] (or Legacy mode) keeps the difference stencils *)
-let marginal_jacobian ?h game ~subsidies =
-  match h with
-  | None when Continuation.fast () ->
-    Subsidy_game.marginal_jacobian_exact game ~subsidies
-  | _ ->
-    let h = Option.value h ~default:1e-6 in
-    Diff.jacobian ~h
-      (fun s -> Subsidy_game.marginal_utilities game ~subsidies:s)
-      subsidies
-
-let du_dprice ?h game ~subsidies =
-  match h with
-  | None when Continuation.fast () ->
-    Array.map Dual.d (Subsidy_game.marginal_utilities_dp game ~subsidies)
-  | _ ->
-    let h = Option.value h ~default:1e-6 in
-    let p = Subsidy_game.price game in
-    let at price =
-      Subsidy_game.marginal_utilities (Subsidy_game.with_price game price) ~subsidies
-    in
-    (* keep the evaluation prices non-negative *)
-    let hp = Float.min h (if p > 0. then p /. 2. else h) in
-    if p -. hp < 0. then Vec.scale (1. /. h) (Vec.sub (at (p +. h)) (at p))
-    else Vec.scale (1. /. (2. *. hp)) (Vec.sub (at (p +. hp)) (at (p -. hp)))
-
 let interior_solve game ~subsidies ~forcing =
   (* solve (grad_s~ u~) x = -forcing for the interior coordinates *)
   let part = partition game ~subsidies in
   if Array.length part.interior = 0 then [||]
   else begin
-    let j = marginal_jacobian game ~subsidies in
+    let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
     let a = Mat.submatrix j ~row_idx:part.interior ~col_idx:part.interior in
     Linalg.solve a (Vec.map (fun b -> -.b) forcing)
   end
@@ -58,7 +31,7 @@ let ds_dq game ~subsidies =
   let result = Vec.zeros n in
   Array.iter (fun i -> result.(i) <- 1.) part.upper;
   if Array.length part.interior > 0 then begin
-    let j = marginal_jacobian game ~subsidies in
+    let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
     let forcing =
       Array.map
         (fun k -> Array.fold_left (fun acc jdx -> acc +. Mat.get j k jdx) 0. part.upper)
@@ -74,8 +47,9 @@ let ds_dp game ~subsidies =
   let n = Subsidy_game.dim game in
   let result = Vec.zeros n in
   if Array.length part.interior > 0 then begin
-    let dup = du_dprice game ~subsidies in
-    let forcing = Array.map (fun k -> dup.(k)) part.interior in
+    (* the exact du/dp forcing term: one price-seeded dual pass *)
+    let dup = Subsidy_game.marginal_utilities_dp game ~subsidies in
+    let forcing = Array.map (fun k -> Dual.d dup.(k)) part.interior in
     let x = interior_solve game ~subsidies ~forcing in
     Array.iteri (fun idx i -> result.(i) <- x.(idx)) part.interior
   end;

@@ -6,7 +6,9 @@
     the CPs pinned at 0 or [q] keep their corner behaviour, while the
     interior CPs move by [-Psi] times the forcing term, where
     [Psi = (grad_s~ u~)^{-1}] inverts the interior block of the marginal
-    utility Jacobian. *)
+    utility Jacobian. The Jacobian and the price forcing [du~/dp] are
+    exact dual-number passes ({!Subsidy_game.marginal_jacobian_exact},
+    {!Subsidy_game.marginal_utilities_dp}). *)
 
 type partition = {
   lower : int array;  (** [N-]: subsidies at 0 *)
@@ -15,18 +17,6 @@ type partition = {
 }
 
 val partition : ?tol:float -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> partition
-
-val marginal_jacobian :
-  ?h:float -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Mat.t
-(** The full [n x n] Jacobian [du_i/ds_j]. Without an explicit [h] (and
-    in [Fast] continuation mode) it is exact — [n] dual-number column
-    passes through the analytic marginals; supplying [h] (or [Legacy]
-    mode) reverts to central differences. *)
-
-val du_dprice : ?h:float -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
-(** [du_i/dp] at fixed subsidies: one price-seeded dual pass (exact) by
-    default, central differences over the price when [h] is given or in
-    [Legacy] mode. *)
 
 val ds_dq : Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
 (** Equation (11): the policy derivative of the equilibrium profile at

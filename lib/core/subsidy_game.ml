@@ -21,8 +21,8 @@ let cap g = g.cap
 let with_price g price =
   let g' = make g.system ~price ~cap:g.cap in
   (* a price sweep walks nearby equilibria: carry the utilization warm
-     start along the axis (continuation mode only) *)
-  if Continuation.fast () then g'.phi_cache <- g.phi_cache;
+     start along the axis *)
+  g'.phi_cache <- g.phi_cache;
   g'
 let with_cap g cap = make g.system ~price:g.price ~cap
 let dim g = System.n_cps g.system

@@ -91,9 +91,9 @@ val to_game :
   ?respond_points:int -> ?fused:bool -> t -> Gametheory.Best_response.game
 (** Adapter for {!Gametheory.Best_response} with analytic marginals.
     [fused] (default true) attaches {!fused_marginal} so best responses
-    use the fused Newton path when continuation mode is [Fast]; pass
-    [false] to force the legacy grid-scan respond (the ablation's
-    pre-continuation variant).
+    use the fused Newton path; pass [false] for the grid-scan respond
+    over the analytic marginals (the ablation's pre-continuation
+    variant).
     [respond_points] tunes the first-order scan resolution (see
     {!Gametheory.Best_response.make}); exposed for the numerics
     ablation. *)

@@ -95,11 +95,11 @@ let respond_scan game i s =
 
 let respond game i s =
   match game.fused with
-  | Some fused when Continuation.fast () -> (
+  | Some fused -> (
       match respond_with_fused game fused i s with
       | Some reply -> reply
       | None -> respond_scan game i s)
-  | _ -> respond_scan game i s
+  | None -> respond_scan game i s
 
 let solve ?(scheme = Gauss_seidel) ?(damping = 1.) ?(tol = 1e-10) ?(max_sweeps = 500)
     game ~x0 =

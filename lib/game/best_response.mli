@@ -13,9 +13,9 @@ type game = {
   fused : (int -> Numerics.Vec.t -> float -> float * float) option;
       (** [fused i s si] returns the marginal payoff AND its own-strategy
           slope at [s] with [s_i := si] from one fused evaluation (a
-          second-order dual pass). When present and continuation mode is
-          [Fast], {!respond} runs a projected damped Newton from the
-          current coordinate instead of the grid scan. *)
+          second-order dual pass). When present, {!respond} runs a
+          projected damped Newton from the current coordinate instead of
+          the grid scan. *)
   respond_points : int;
       (** resolution of the line search / first-order scan in {!respond}
           (default 25; the marginal-based scan uses half of it) *)
@@ -44,11 +44,10 @@ val make :
 val respond : game -> int -> Numerics.Vec.t -> float
 (** Player [i]'s best reply to the profile (its own coordinate seeds the
     fused Newton when one is attached; otherwise it is ignored). With a
-    [fused] marginal under [Fast] continuation mode the reply is the
-    projected Newton point (interior stationary point or KKT corner);
-    when that whole chain fails — or in [Legacy] mode — candidates are
-    the box endpoints plus all first-order roots of [marginal], and the
-    payoff-maximizing candidate wins. *)
+    [fused] marginal the reply is the projected Newton point (interior
+    stationary point or KKT corner); without one, or when that whole
+    chain fails, candidates are the box endpoints plus all first-order
+    roots of [marginal], and the payoff-maximizing candidate wins. *)
 
 val solve :
   ?scheme:scheme ->

@@ -1,18 +1,3 @@
-type mode = Fast | Legacy
-
-(* process-global so a single switch reaches every domain of a pool;
-   only flipped outside parallel regions (tests, CLI) *)
-let mode_cell = Atomic.make Fast
-let mode () = Atomic.get mode_cell
-let set_mode m = Atomic.set mode_cell m
-
-let with_mode m f =
-  let prev = Atomic.get mode_cell in
-  Atomic.set mode_cell m;
-  Fun.protect ~finally:(fun () -> Atomic.set mode_cell prev) f
-
-let fast () = match Atomic.get mode_cell with Fast -> true | Legacy -> false
-
 (* handles survive Obs.Metrics.reset (cells are zeroed in place) *)
 let steps_c = Obs.Metrics.counter "continuation.steps"
 let accepts_c = Obs.Metrics.counter "continuation.predictor.accepts"
@@ -36,10 +21,9 @@ let note t ~at x =
   t.last <- Some { at; x = Vec.copy x }
 
 let predict ?tangent t ~at =
-  match (t.last, fast ()) with
-  | None, _ -> None
-  | Some l, false -> Some (Vec.copy l.x)
-  | Some l, true -> (
+  match t.last with
+  | None -> None
+  | Some l -> (
     match t.prev with
     | Some p when Float.abs (l.at -. p.at) > 0. ->
       (* secant through the last two cells *)

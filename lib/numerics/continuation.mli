@@ -10,30 +10,9 @@
     fused damped Newton ({!Robust.root_fused}) with a fallback to the
     classic {!Robust.root} chain.
 
-    The process-wide {!mode} gates every continuation shortcut in the
-    pipeline: [Fast] (the default) enables secant prediction, fused AD
-    Newton responds and exact Jacobians; [Legacy] reproduces the
-    pre-continuation pipeline (constant warm starts, grid-scan best
-    responses, stenciled Jacobians) and exists so the equivalence tests
-    can certify the fast path against it. Set it only outside parallel
-    regions — it is read by every domain.
-
     All state a sweep accumulates lives in its own {!track} values,
     created per pool chunk, so warm starts compose at any [--jobs]
     without breaking the determinism contract. *)
-
-type mode = Fast | Legacy
-
-val mode : unit -> mode
-val set_mode : mode -> unit
-
-val with_mode : mode -> (unit -> 'a) -> 'a
-(** Runs the thunk under the given mode, restoring on exit. The switch
-    is process-global: do not wrap code that runs concurrently with
-    other solves. *)
-
-val fast : unit -> bool
-(** [mode () = Fast] — the gate every fused/predicted shortcut checks. *)
 
 (** {2 Predictor track} *)
 
@@ -53,8 +32,7 @@ val predict : ?tangent:(unit -> Vec.t) -> track -> at:float -> Vec.t option
     with one cell, [x + tangent () * (at - at_prev)] when a tangent is
     supplied (e.g. the Theorem-6 sensitivity [ds/dp] from the AD
     Jacobian), else the previous solution unchanged; [None] with no
-    history. In [Legacy] mode always the previous solution unchanged —
-    the warm-start behaviour the sweeps had before continuation. *)
+    history. *)
 
 (** {2 Corrector} *)
 

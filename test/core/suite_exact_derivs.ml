@@ -4,12 +4,11 @@ module Vec = Numerics.Vec
 module Mat = Numerics.Mat
 module Dual = Numerics.Dual
 
-(* The exact (dual-number) derivative paths against the legacy
-   finite-difference stencils they replace: the continuation solver and
-   the Theorem-6/8 sensitivity analysis are only as sound as these
-   agree. FD carries O(h^2) truncation error through a nested
-   equilibrium solve, so the pins use a looser band than the pure-kernel
-   tests in test/econ. *)
+(* The exact (dual-number) derivative paths against finite-difference
+   stencil oracles: the continuation solver and the Theorem-6/8
+   sensitivity analysis are only as sound as these agree. FD carries
+   O(h^2) truncation error through a nested equilibrium solve, so the
+   pins use a looser band than the pure-kernel tests in test/econ. *)
 
 let rel_close ~tol expected actual =
   Float.abs (actual -. expected) <= tol *. (1. +. Float.abs expected)
@@ -21,54 +20,79 @@ let interior_profile g =
   let n = Subsidy_game.dim g in
   Vec.init n (fun i -> 0.1 +. (0.05 *. float_of_int i))
 
-let test_jacobian_exact_vs_fd () =
-  let g = game () in
-  let s = interior_profile g in
-  let exact = Subsidy_game.marginal_jacobian_exact g ~subsidies:s in
-  let fd = Sensitivity.marginal_jacobian ~h:1e-6 g ~subsidies:s in
-  let n = Subsidy_game.dim g in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      check_true
-        (Printf.sprintf "J(%d,%d): exact %.8g vs fd %.8g" i j
-           (Mat.get exact i j) (Mat.get fd i j))
-        (rel_close ~tol:1e-4 (Mat.get fd i j) (Mat.get exact i j))
-    done
-  done;
-  (* without an explicit h the dispatch must pick the exact path (the
-     warm phi cache moves the repeat solve by last-bit amounts, so
-     "equal" means to solver tolerance, not bit-identical) *)
-  let dispatched = Sensitivity.marginal_jacobian g ~subsidies:s in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      check_true "dispatch = exact"
-        (rel_close ~tol:1e-9 (Mat.get exact i j) (Mat.get dispatched i j))
-    done
-  done
+(* A random market (Fixtures.random_system seed, 2-8 CPs), a price, a
+   cap q and a profile in [0,q]^n: the first n of eight fractions of q. *)
+let random_point =
+  QCheck2.Gen.(
+    quad Fixtures.qcheck_seed (float_range 0.1 1.5) (float_range 0.05 1.)
+      (list_size (return 8) (float_range 0. 1.)))
 
-let test_jacobian_legacy_mode_stencils () =
-  let g = game () in
-  let s = interior_profile g in
-  let exact = Sensitivity.marginal_jacobian g ~subsidies:s in
-  Numerics.Continuation.with_mode Numerics.Continuation.Legacy (fun () ->
-      Numerics.Diff.reset_stats ();
-      let fd = Sensitivity.marginal_jacobian g ~subsidies:s in
-      check_true "legacy mode spends stencils"
-        ((Numerics.Diff.stats ()).Numerics.Diff.estimates > 0.);
-      check_true "legacy agrees with exact"
-        (rel_close ~tol:1e-4 (Mat.get exact 0 0) (Mat.get fd 0 0)))
+let print_point (seed, p, q, fractions) =
+  let cps = (Fixtures.random_system seed).System.cps in
+  Format.asprintf "seed %d, p %.17g, q %.17g, s = q * [%s]@.%a" seed p q
+    (String.concat "; " (List.map (Printf.sprintf "%.17g") fractions))
+    (Format.pp_print_array ~pp_sep:Format.pp_print_newline Econ.Cp.pp)
+    cps
 
-let test_du_dprice_exact_vs_fd () =
+let game_at (seed, p, q, fractions) =
+  let g = Subsidy_game.make (Fixtures.random_system seed) ~price:p ~cap:q in
+  let fractions = Array.of_list fractions in
+  (g, Vec.init (Subsidy_game.dim g) (fun i -> q *. fractions.(i)))
+
+let prop_jacobian_exact_vs_fd =
+  prop "jacobian: exact vs stencil" ~count:100 ~print:print_point random_point
+    (fun point ->
+      let g, s = game_at point in
+      let exact = Subsidy_game.marginal_jacobian_exact g ~subsidies:s in
+      let fd =
+        Numerics.Diff.jacobian ~h:1e-6
+          (fun s -> Subsidy_game.marginal_utilities g ~subsidies:s)
+          s
+      in
+      let n = Subsidy_game.dim g in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j -> rel_close ~tol:1e-4 (Mat.get fd i j) (Mat.get exact i j))
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
+let prop_du_dprice_exact_vs_fd =
+  prop "du/dprice: exact vs stencil" ~count:100 ~print:print_point random_point
+    (fun point ->
+      let g, s = game_at point in
+      let exact = Subsidy_game.marginal_utilities_dp g ~subsidies:s in
+      (* price is the only coordinate: column 0 is du/dp *)
+      let fd =
+        Numerics.Diff.jacobian ~h:1e-6
+          (fun p ->
+            Subsidy_game.marginal_utilities (Subsidy_game.with_price g p.(0))
+              ~subsidies:s)
+          [| Subsidy_game.price g |]
+      in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun k d -> rel_close ~tol:1e-4 (Mat.get fd k 0) (Dual.d d))
+           exact))
+
+let test_default_paths_spend_no_stencils () =
+  (* every solver and theorem path runs on exact duals: none of them may
+     fall back to a difference stencil *)
+  Numerics.Diff.reset_stats ();
   let g = game () in
-  let s = interior_profile g in
-  let exact = Sensitivity.du_dprice g ~subsidies:s in
-  let fd = Sensitivity.du_dprice ~h:1e-6 g ~subsidies:s in
-  Array.iteri
-    (fun k fdk ->
-      check_true
-        (Printf.sprintf "du_%d/dp: exact %.8g vs fd %.8g" k exact.(k) fdk)
-        (rel_close ~tol:1e-4 fdk exact.(k)))
-    fd
+  let eq = Nash.solve g in
+  let subsidies = eq.Nash.subsidies in
+  ignore (Sensitivity.policy_effect ~dp_dq:0.3 g ~subsidies);
+  ignore (Revenue.marginal_formula g ~subsidies);
+  ignore (Nash.off_diagonal_monotone g ~subsidies);
+  ignore (Nash.jacobian_is_p_matrix g ~subsidies);
+  ignore (Revenue.curve g ~prices:[| 0.6; 0.7; 0.8; 0.9 |]);
+  ignore
+    (Duopoly.price_equilibrium
+       (Duopoly.make ~cps:(Scenario.fig45_cps ()) ~capacity_a:0.5 ~capacity_b:0.5
+          ~cap:1. ()));
+  check_close ~tol:0. "difference stencils taken" 0.
+    (Numerics.Diff.stats ()).Numerics.Diff.estimates
 
 let test_fused_marginal_pins () =
   let g = game () in
@@ -120,29 +144,25 @@ let test_marginal_utilities_d_primal () =
     primal
 
 let test_nash_agrees_across_modes () =
-  (* the end-to-end pin: the fused continuation path and the legacy
-     grid-scan respond must find the same equilibrium *)
+  (* the end-to-end pin: the fused Newton respond and the grid-scan
+     respond must find the same equilibrium *)
   let g = game () in
-  let fast = Nash.solve g in
-  let legacy =
-    Numerics.Continuation.with_mode Numerics.Continuation.Legacy (fun () ->
-        Nash.solve g)
-  in
-  check_true "both converged" (fast.Nash.converged && legacy.Nash.converged);
+  let fused = Nash.solve g in
+  let scan = Nash.solve ~fused:false g in
+  check_true "both converged" (fused.Nash.converged && scan.Nash.converged);
   Array.iteri
     (fun i si ->
       check_true
-        (Printf.sprintf "s_%d: fast %.8g vs legacy %.8g" i si
-           legacy.Nash.subsidies.(i))
-        (Float.abs (si -. legacy.Nash.subsidies.(i)) <= 1e-5))
-    fast.Nash.subsidies
+        (Printf.sprintf "s_%d: fused %.8g vs scan %.8g" i si scan.Nash.subsidies.(i))
+        (Float.abs (si -. scan.Nash.subsidies.(i)) <= 1e-5))
+    fused.Nash.subsidies
 
 let suite =
   ( "exact-derivs",
     [
-      quick "jacobian: exact vs stencil" test_jacobian_exact_vs_fd;
-      quick "jacobian: legacy mode stencils" test_jacobian_legacy_mode_stencils;
-      quick "du/dprice: exact vs stencil" test_du_dprice_exact_vs_fd;
+      prop_jacobian_exact_vs_fd;
+      quick "default paths spend no stencils" test_default_paths_spend_no_stencils;
+      prop_du_dprice_exact_vs_fd;
       quick "fused marginal pins" test_fused_marginal_pins;
       quick "duopoly fused marginal pins" test_duopoly_fused_marginal_pins;
       quick "marginal_utilities_d primal" test_marginal_utilities_d_primal;

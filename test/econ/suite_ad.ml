@@ -6,8 +6,8 @@ module Rng = Numerics.Rng
 (* Pin the dual-number evaluators of every functorized econ kernel
    against Richardson-extrapolated stencils of the float closures: the
    two must agree to 1e-6 relative error on random draws, or the exact
-   Newton/Jacobian paths and the legacy finite-difference paths solve
-   different games. *)
+   Newton/Jacobian paths and the float closures the equilibrium solves
+   evaluate describe different games. *)
 
 let rel_close ~tol expected actual =
   Float.abs (actual -. expected) <= tol *. (1. +. Float.abs expected)

@@ -2,17 +2,17 @@ open Subsidization
 open Test_helpers
 
 (* Continuation-vs-cold-start equivalence: the warm-started fused
-   solver (Fast, the default) must reproduce the cold-start legacy
-   chain's tables. The two modes take genuinely different numerical
-   paths (exact Newton from a predicted guess vs bracketed scan from
-   scratch), so cells are certified equal within [cell_tol] rather than
-   byte-identical; `--jobs 1` vs `--jobs 4` byte-identity within Fast
-   mode is covered by test/parallel on the full experiments.
+   solver must reproduce the tables of the cold-start pipeline it
+   replaced (constant warm starts, grid-scan best responses, stenciled
+   Jacobians). The two take genuinely different numerical paths (exact
+   Newton from a predicted guess vs bracketed scan from scratch), so
+   cells are certified equal within [cell_tol] rather than
+   byte-identical; `--jobs 1` vs `--jobs 4` byte-identity is covered by
+   test/parallel on the full experiments.
 
-   The full capacity/duopoly experiments cost minutes in Legacy mode on
-   one core, so the certification runs the SAME code paths
+   The certification runs the SAME code paths as the experiments
    ([Capacity.investment_incentive] and the two [Duopoly] market
-   solvers, which produce the experiments' CSV rows) on the paper's
+   solvers, which produce the capacity/duopoly CSV rows) on the paper's
    3-CP Figure-4/5 population instead of the 8-CP one. *)
 
 let cell_tol = 5e-3
@@ -22,39 +22,64 @@ let close ~label a b =
     (Printf.sprintf "%s: %.6g vs %.6g" label a b)
     (Float.abs (a -. b) <= cell_tol)
 
-let capacity_rows ~jobs mode =
+(* Runs [f] on a pool of [jobs] domains, restoring the caller's job
+   count even when [f] raises. *)
+let with_jobs jobs f =
+  let prev = Parallel.Runtime.jobs () in
   Parallel.Runtime.set_jobs jobs;
-  Numerics.Continuation.with_mode mode (fun () ->
-      let sys = Scenario.fig45_system () in
-      let plans =
-        Capacity.investment_incentive ~pool:(Parallel.Runtime.pool ()) sys
-          ~pricing:(Capacity.Optimal_price { p_max = 2.5 }) ~unit_cost:0.15
-          ~caps:[| 0.; 0.6 |]
-      in
-      Array.to_list plans)
+  Fun.protect ~finally:(fun () -> Parallel.Runtime.set_jobs prev) f
 
-let check_plans ~label reference candidate =
+let check_cells ~label reference rows =
   List.iter2
-    (fun (a : Capacity.plan) (b : Capacity.plan) ->
-      close ~label:(label ^ " mu*") a.Capacity.capacity b.Capacity.capacity;
-      close ~label:(label ^ " p*") a.Capacity.price b.Capacity.price;
-      close ~label:(label ^ " revenue") a.Capacity.revenue b.Capacity.revenue;
-      close ~label:(label ^ " profit") a.Capacity.profit b.Capacity.profit;
-      close ~label:(label ^ " phi") a.Capacity.utilization b.Capacity.utilization;
-      close ~label:(label ^ " welfare") a.Capacity.welfare b.Capacity.welfare)
-    reference candidate
+    (fun expected row ->
+      List.iteri (fun k (name, v) -> close ~label:(label ^ " " ^ name) expected.(k) v) row)
+    reference rows
+
+(* The reference cells below are the output of these same runs under the
+   cold-start pipeline, printed at %.17g on the last commit that still
+   had it (the commit before the process-global Fast/Legacy switch was
+   deleted). *)
+
+let legacy_plans =
+  [
+    [| 1.3510813302835918; 1.4561370187202878; 0.52843261581176415;
+       0.32577041626922543; 0.26859992033978691; 0.36290033768674607 |];
+    [| 4.4661067485240453; 0.573442977077951; 1.3690273485938067;
+       0.69911133631519995; 0.53455548028945887; 2.3873818379812644 |];
+  ]
+
+let capacity_rows ~jobs =
+  with_jobs jobs (fun () ->
+      let sys = Scenario.fig45_system () in
+      Capacity.investment_incentive ~pool:(Parallel.Runtime.pool ()) sys
+        ~pricing:(Capacity.Optimal_price { p_max = 2.5 }) ~unit_cost:0.15
+        ~caps:[| 0.; 0.6 |]
+      |> Array.to_list
+      |> List.map (fun (a : Capacity.plan) ->
+             [
+               ("mu*", a.Capacity.capacity);
+               ("p*", a.Capacity.price);
+               ("revenue", a.Capacity.revenue);
+               ("profit", a.Capacity.profit);
+               ("phi", a.Capacity.utilization);
+               ("welfare", a.Capacity.welfare);
+             ]))
 
 let test_capacity_equivalence () =
-  let reference = capacity_rows ~jobs:1 Numerics.Continuation.Legacy in
-  let fast1 = capacity_rows ~jobs:1 Numerics.Continuation.Fast in
-  let fast4 = capacity_rows ~jobs:4 Numerics.Continuation.Fast in
-  Parallel.Runtime.set_jobs 1;
-  check_plans ~label:"capacity fast@1 vs legacy" reference fast1;
-  check_plans ~label:"capacity fast@4 vs legacy" reference fast4
+  check_cells ~label:"capacity jobs=1 vs legacy" legacy_plans (capacity_rows ~jobs:1);
+  check_cells ~label:"capacity jobs=4 vs legacy" legacy_plans (capacity_rows ~jobs:4)
 
-let duopoly_markets ~jobs mode =
-  Parallel.Runtime.set_jobs jobs;
-  Numerics.Continuation.with_mode mode (fun () ->
+(* monopoly benchmark, then the price equilibrium *)
+let legacy_markets =
+  [
+    [| 0.71532818962872391; 0.71532818962872391; 0.36663431518337458;
+       0.36663431518337458; 1.0250800136191149 |];
+    [| 0.81198716311338848; 0.58248048889154036; 0.39588429983820389;
+       0.41219144284555825; 1.1951984464446042 |];
+  ]
+
+let duopoly_markets ~jobs =
+  with_jobs jobs (fun () ->
       let duopoly cap =
         Duopoly.make ~cps:(Scenario.fig45_cps ()) ~capacity_a:0.5
           ~capacity_b:0.5 ~cap ()
@@ -62,25 +87,19 @@ let duopoly_markets ~jobs mode =
       [
         Duopoly.monopoly_benchmark (duopoly 1.);
         Duopoly.price_equilibrium (duopoly 1.);
-      ])
-
-let check_markets ~label reference candidate =
-  List.iter2
-    (fun (a : Duopoly.market) (b : Duopoly.market) ->
-      close ~label:(label ^ " pA") (fst a.Duopoly.prices) (fst b.Duopoly.prices);
-      close ~label:(label ^ " pB") (snd a.Duopoly.prices) (snd b.Duopoly.prices);
-      close ~label:(label ^ " RA") (fst a.Duopoly.revenues) (fst b.Duopoly.revenues);
-      close ~label:(label ^ " RB") (snd a.Duopoly.revenues) (snd b.Duopoly.revenues);
-      close ~label:(label ^ " welfare") a.Duopoly.welfare b.Duopoly.welfare)
-    reference candidate
+      ]
+      |> List.map (fun (a : Duopoly.market) ->
+             [
+               ("pA", fst a.Duopoly.prices);
+               ("pB", snd a.Duopoly.prices);
+               ("RA", fst a.Duopoly.revenues);
+               ("RB", snd a.Duopoly.revenues);
+               ("welfare", a.Duopoly.welfare);
+             ]))
 
 let test_duopoly_equivalence () =
-  let reference = duopoly_markets ~jobs:1 Numerics.Continuation.Legacy in
-  let fast1 = duopoly_markets ~jobs:1 Numerics.Continuation.Fast in
-  let fast4 = duopoly_markets ~jobs:4 Numerics.Continuation.Fast in
-  Parallel.Runtime.set_jobs 1;
-  check_markets ~label:"duopoly fast@1 vs legacy" reference fast1;
-  check_markets ~label:"duopoly fast@4 vs legacy" reference fast4
+  check_cells ~label:"duopoly jobs=1 vs legacy" legacy_markets (duopoly_markets ~jobs:1);
+  check_cells ~label:"duopoly jobs=4 vs legacy" legacy_markets (duopoly_markets ~jobs:4)
 
 let test_shared_stats_attribution () =
   (* fig8-11 read one memoized sweep: after any consumer runs, the

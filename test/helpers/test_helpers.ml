@@ -23,8 +23,8 @@ let quick name f = Alcotest.test_case name `Quick f
 
 (* QCheck integration ------------------------------------------------ *)
 
-let prop ?(count = 100) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name arb law)
+let prop ?(count = 100) ?print name arb law =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name arb law)
 
 let float_range lo hi = QCheck2.Gen.float_range lo hi
 

@@ -92,16 +92,6 @@ let test_predict_single_point_copies () =
     | None -> Alcotest.fail "predict vanished")
   | None -> Alcotest.fail "one point must still predict"
 
-let test_legacy_mode_disables_extrapolation () =
-  Continuation.with_mode Continuation.Legacy (fun () ->
-      let t = Continuation.track () in
-      Continuation.note t ~at:1. (Vec.of_list [ 2. ]);
-      Continuation.note t ~at:2. (Vec.of_list [ 4. ]);
-      match Continuation.predict t ~at:3. with
-      | Some g -> check_close ~tol:0. "legacy predicts last, not secant" 4. g.(0)
-      | None -> Alcotest.fail "legacy still warm-starts");
-  check_true "with_mode restores Fast" (Continuation.fast ())
-
 let test_solve_cell_warm_and_fallback () =
   Continuation.reset_stats ();
   let t = Continuation.track () in
@@ -169,7 +159,6 @@ let suite =
       quick "correct: converged and fallback" test_correct_converged_and_fallback;
       quick "predict: secant is exact on linear tracks" test_predict_secant;
       quick "predict: single point copies" test_predict_single_point_copies;
-      quick "legacy mode disables extrapolation" test_legacy_mode_disables_extrapolation;
       quick "solve_cell: warm starts and fallback" test_solve_cell_warm_and_fallback;
       quick "solve_cell: clamps the guess" test_solve_cell_clamp;
     ] )
