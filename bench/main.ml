@@ -21,7 +21,6 @@ type figure_record = {
   fig_id : string;
   seconds : float;
   root_calls : int;
-  fixed_point_calls : int;
   objective_evaluations : float;
   deriv_ad : float;  (** exact seeded AD passes *)
   deriv_fd : float;  (** finite-difference stencil estimates *)
@@ -59,7 +58,6 @@ let regenerate experiments =
           fig_id = id;
           seconds;
           root_calls = stats.Numerics.Robust.root_calls;
-          fixed_point_calls = stats.Numerics.Robust.fixed_point_calls;
           objective_evaluations = Obs.Metrics.sum_histograms "solver.evaluations";
           deriv_ad = (Numerics.Ad.stats ()).Numerics.Ad.passes;
           deriv_fd = (Numerics.Diff.stats ()).Numerics.Diff.estimates;
@@ -302,7 +300,6 @@ let perf_record ~figures ~benchmarks ~parallel : Obs.Json.t =
          ("id", Str r.fig_id);
          ("seconds", Num r.seconds);
          ("root_calls", Num (float_of_int r.root_calls));
-         ("fixed_point_calls", Num (float_of_int r.fixed_point_calls));
          ("objective_evaluations", Num r.objective_evaluations);
          ("deriv_ad", Num r.deriv_ad);
          ("deriv_fd", Num r.deriv_fd);

@@ -1,13 +1,13 @@
 open Numerics
 
 type report = {
-  best_response : Gametheory.Tatonnement.trace;
+  best_response : Gametheory.Best_response.outcome;
   gradient : Gametheory.Gradient_dynamics.result;
   agree : bool;
 }
 
-let best_response_trace ?scheme ?damping ?max_sweeps game ~x0 =
-  Gametheory.Tatonnement.run ?scheme ?damping ?max_sweeps (Subsidy_game.to_game game) ~x0
+let best_response_trace game ~x0 =
+  Gametheory.Best_response.solve (Subsidy_game.to_game game) ~x0
 
 let gradient_flow ?(horizon = 600.) ?(dt = 0.25) game ~x0 =
   Gametheory.Gradient_dynamics.flow
@@ -19,10 +19,9 @@ let compare ?x0 game =
   let best_response = best_response_trace game ~x0 in
   let gradient = gradient_flow game ~x0 in
   let agree =
-    best_response.Gametheory.Tatonnement.converged
+    best_response.Gametheory.Best_response.converged
     && gradient.Gametheory.Gradient_dynamics.stationary
-    && Vec.dist_inf
-         (Gametheory.Tatonnement.final best_response)
+    && Vec.dist_inf best_response.Gametheory.Best_response.profile
          gradient.Gametheory.Gradient_dynamics.final
        <= 1e-5
   in

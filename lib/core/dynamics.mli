@@ -5,24 +5,21 @@
     equilibria, so the "dynamics of subsidies" (Section 4.2) can be
     simulated rather than assumed:
 
-    - discrete best-response tatonnement (Gauss-Seidel or Jacobi),
-      recorded as a trace;
+    - discrete best-response tatonnement: Gauss-Seidel
+      {!Gametheory.Best_response.solve}, whose [moves] are the trace;
     - continuous projected gradient flow [ds_i/dt = u_i(s)]. *)
 
 type report = {
-  best_response : Gametheory.Tatonnement.trace;
+  best_response : Gametheory.Best_response.outcome;
   gradient : Gametheory.Gradient_dynamics.result;
   agree : bool;
       (** both processes settle, at the same profile (sup-norm 1e-5) *)
 }
 
 val best_response_trace :
-  ?scheme:Gametheory.Best_response.scheme ->
-  ?damping:float ->
-  ?max_sweeps:int ->
-  Subsidy_game.t ->
-  x0:Numerics.Vec.t ->
-  Gametheory.Tatonnement.trace
+  Subsidy_game.t -> x0:Numerics.Vec.t -> Gametheory.Best_response.outcome
+(** The same run as {!Nash.solve} from [x0]: it ends at the same
+    profile, bit for bit. *)
 
 val gradient_flow :
   ?horizon:float ->

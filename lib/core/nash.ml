@@ -68,16 +68,9 @@ let solve_vi ?(gamma = 0.25) ?(tol = 1e-10) ?(max_iter = 100_000) ?x0 game =
   let n = Subsidy_game.dim game in
   let x0 = match x0 with Some x -> x | None -> Vec.zeros n in
   let f s = Vec.map (fun u -> -.u) (Subsidy_game.marginal_utilities game ~subsidies:s) in
-  (* count F evaluations as a proxy for iterations: 2 per extragradient step *)
-  let evals = ref 0 in
-  let counted s =
-    incr evals;
-    f s
-  in
-  let subsidies, converged =
-    match Gametheory.Vi.solve_extragradient ~gamma ~tol ~max_iter counted box ~x0 with
-    | s -> (s, true)
-    | exception Fixedpoint.No_convergence _ -> (Gametheory.Box.project box x0, false)
+  let r = Gametheory.Vi.solve_extragradient ~gamma ~tol ~max_iter f box ~x0 in
+  let subsidies =
+    if r.Gametheory.Vi.converged then r.Gametheory.Vi.point else Gametheory.Box.project box x0
   in
   let state = Subsidy_game.state game ~subsidies in
   {
@@ -85,8 +78,8 @@ let solve_vi ?(gamma = 0.25) ?(tol = 1e-10) ?(max_iter = 100_000) ?x0 game =
     state;
     utilities = Subsidy_game.utilities game ~subsidies;
     classes = classify game ~subsidies;
-    sweeps = !evals / 2;
-    converged;
+    sweeps = r.Gametheory.Vi.iterations;
+    converged = r.Gametheory.Vi.converged;
     kkt_residual = kkt_residual game ~subsidies;
   }
 

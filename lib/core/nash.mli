@@ -64,7 +64,8 @@ val solve_vi :
     one-dimensional structure of each player's problem) but derivative-
     driven and sweep-free; used to cross-validate equilibria and in the
     solver ablation benchmark. The returned [sweeps] counts
-    extragradient iterations. *)
+    extragradient iterations. When the iteration budget runs out, the
+    result is the projected start [x0] with [converged = false]. *)
 
 val kkt_residual : Subsidy_game.t -> subsidies:Numerics.Vec.t -> float
 (** Max complementarity violation of the Theorem-3 first-order

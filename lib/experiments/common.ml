@@ -39,8 +39,6 @@ let try_sample ~label ~sample f =
   | exception Numerics.Rootfind.No_bracket msg -> Error { sample; label; reason = msg }
   | exception Numerics.Rootfind.No_convergence msg ->
     Error { sample; label; reason = msg }
-  | exception Numerics.Fixedpoint.No_convergence msg ->
-    Error { sample; label; reason = msg }
 
 (* experiments that tolerate solver failure publish the failures as a
    table named "degraded" (see robustness_exp); the runner's manifest

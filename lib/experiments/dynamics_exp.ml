@@ -10,22 +10,18 @@ let run () : Common.outcome =
 
   (* trace table: per-sweep displacement of the discrete process *)
   let trace_table = Report.Table.make ~columns:[ "sweep"; "sup-norm move" ] in
-  List.iter
-    (fun (s : Gametheory.Tatonnement.step) ->
-      if s.Gametheory.Tatonnement.index > 0 then
-        Report.Table.add_row trace_table
-          [
-            string_of_int s.Gametheory.Tatonnement.index;
-            Printf.sprintf "%.3e" s.Gametheory.Tatonnement.move;
-          ])
-    br.Gametheory.Tatonnement.steps;
+  List.iteri
+    (fun k move ->
+      Report.Table.add_row trace_table
+        [ string_of_int (k + 1); Printf.sprintf "%.3e" move ])
+    br.Gametheory.Best_response.moves;
 
   let summary = Report.Table.make ~columns:[ "process"; "settles"; "distance to static Nash" ] in
-  let br_final = Gametheory.Tatonnement.final br in
+  let br_final = br.Gametheory.Best_response.profile in
   Report.Table.add_row summary
     [
       "best-response tatonnement";
-      string_of_bool br.Gametheory.Tatonnement.converged;
+      string_of_bool br.Gametheory.Best_response.converged;
       Printf.sprintf "%.2e" (Numerics.Vec.dist_inf br_final static.Nash.subsidies);
     ];
   Report.Table.add_row summary
@@ -37,11 +33,11 @@ let run () : Common.outcome =
            static.Nash.subsidies);
     ];
 
-  let contraction = Gametheory.Tatonnement.contraction_estimate br in
+  let contraction = Gametheory.Best_response.contraction_estimate br in
   let vi_alt = Nash.solve_vi ~tol:1e-9 game in
   let checks =
     [
-      Common.check ~name:"dynamics.br-converges" br.Gametheory.Tatonnement.converged
+      Common.check ~name:"dynamics.br-converges" br.Gametheory.Best_response.converged
         "discrete tatonnement settles";
       Common.check ~name:"dynamics.flow-stationary"
         flow.Gametheory.Gradient_dynamics.stationary

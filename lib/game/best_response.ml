@@ -10,12 +10,7 @@ type game = {
 
 type scheme = Gauss_seidel | Jacobi
 
-type outcome = {
-  profile : Vec.t;
-  sweeps : int;
-  last_move : float;
-  converged : bool;
-}
+type outcome = { profile : Vec.t; sweeps : int; moves : float list; converged : bool }
 
 let make ?marginal ?fused ?(respond_points = 25) ~box ~payoff () =
   Precondition.require ~fn:"Best_response.make" (respond_points >= 5)
@@ -123,19 +118,36 @@ let solve ?(scheme = Gauss_seidel) ?(damping = 1.) ?(tol = 1e-10) ?(max_sweeps =
     s := next;
     moved
   in
-  let rec loop k =
+  let rec loop k moves =
     let moved = sweep () in
-    if moved <= tol then { profile = !s; sweeps = k; last_move = moved; converged = true }
-    else if k >= max_sweeps then
-      { profile = !s; sweeps = k; last_move = moved; converged = false }
-    else loop (k + 1)
+    let moves = moved :: moves in
+    if moved <= tol || k >= max_sweeps then
+      { profile = !s; sweeps = k; moves = List.rev moves; converged = moved <= tol }
+    else loop (k + 1) moves
   in
-  let outcome = loop 1 in
+  let outcome = loop 1 [] in
   if Obs.Trace.enabled () then begin
     Obs.Trace.add_attr "sweeps" (string_of_int outcome.sweeps);
     Obs.Trace.add_attr "converged" (string_of_bool outcome.converged)
   end;
   outcome
+
+let contraction_estimate outcome =
+  if List.length outcome.moves < 4 then None
+  else begin
+    let rec ratios = function
+      | a :: (b :: _ as rest) when a > 0. -> (b /. a) :: ratios rest
+      | _ :: rest -> ratios rest
+      | [] -> []
+    in
+    match List.filter (fun r -> r > 0.) (ratios outcome.moves) with
+    | [] -> None
+    | positive ->
+      Some
+        (exp
+           (List.fold_left (fun acc r -> acc +. log r) 0. positive
+           /. float_of_int (List.length positive)))
+  end
 
 let solve_multistart ?scheme ?damping ?tol ?max_sweeps ?(starts = 5) rng game =
   Precondition.require ~fn:"Best_response.solve_multistart" (starts >= 1)

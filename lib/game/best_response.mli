@@ -28,7 +28,9 @@ type scheme =
 type outcome = {
   profile : Numerics.Vec.t;
   sweeps : int;
-  last_move : float;  (** sup-norm displacement of the final sweep *)
+  moves : float list;
+      (** sup-norm displacement of every sweep, in order: the
+          trajectory's convergence trace, one entry per sweep *)
   converged : bool;
 }
 
@@ -61,7 +63,14 @@ val solve :
     reply with the current strategy (default 1, undamped);
     [tol] (default [1e-10]) bounds the final sweep displacement.
     Unconverged runs are returned with [converged = false] rather than
-    raised, so callers can inspect the trajectory endpoint. *)
+    raised, so callers can inspect the trajectory endpoint. This is the
+    only sweep loop: [Nash.solve] runs it for the static equilibrium and
+    [Dynamics] for the adjustment trace. *)
+
+val contraction_estimate : outcome -> float option
+(** Geometric mean of the positive ratios of consecutive [moves]:
+    an empirical contraction factor of the sweep map. [None] when there
+    are fewer than 4 moves or no positive ratio. *)
 
 val solve_multistart :
   ?scheme:scheme ->

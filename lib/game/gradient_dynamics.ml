@@ -15,12 +15,12 @@ let vector_field ~marginal ~box s =
       else if Box.on_upper box s i && u > 0. then 0.
       else u)
 
-let flow ?method_ ?(tol = 1e-8) ~marginal ~box ~horizon ~dt ~x0 () =
+let flow ?(tol = 1e-8) ~marginal ~box ~horizon ~dt ~x0 () =
   if horizon <= 0. then invalid_arg "Gradient_dynamics.flow: horizon must be positive";
   let f _t s = vector_field ~marginal ~box s in
   let post s = Box.project box s in
   let trajectory =
-    Ode.integrate ?method_ ~post ~f ~t0:0. ~t1:horizon ~dt (Box.project box x0)
+    Ode.integrate ~post ~f ~t0:0. ~t1:horizon ~dt (Box.project box x0)
   in
   let final = Ode.final trajectory in
   let u_map s = Vec.init (Box.dim box) (fun i -> -.marginal i s) in

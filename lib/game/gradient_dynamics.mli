@@ -15,7 +15,6 @@ type result = {
 }
 
 val flow :
-  ?method_:[ `Rk4 | `Euler ] ->
   ?tol:float ->
   marginal:(int -> Numerics.Vec.t -> float) ->
   box:Box.t ->
@@ -25,7 +24,7 @@ val flow :
   unit ->
   result
 (** Integrate the projected gradient flow from [x0] for [horizon] time
-    units with step [dt]. [tol] (default [1e-8]) is used both for the
+    units with RK4 steps of [dt]. [tol] (default [1e-8]) is used both for the
     settling diagnosis and the final stationarity certificate. *)
 
 val vector_field :

@@ -8,25 +8,17 @@
 
 type f = Numerics.Vec.t -> Numerics.Vec.t
 
-val natural_map : f -> Box.t -> Numerics.Vec.t -> Numerics.Vec.t
-(** [x - Proj_K (x - F x)]: zero exactly at solutions. *)
-
 val residual : f -> Box.t -> Numerics.Vec.t -> float
-(** Sup norm of the natural map: a verifiable optimality certificate. *)
+(** Sup norm of the natural map [x - Proj_K (x - F x)], which is zero
+    exactly at solutions: a verifiable optimality certificate. *)
 
-val is_solution : ?tol:float -> f -> Box.t -> Numerics.Vec.t -> bool
-(** [residual <= tol] (default [1e-7]). *)
-
-val kkt_violation : f -> Box.t -> Numerics.Vec.t -> float
-(** Maximum complementarity violation of the box-KKT system: for each
-    coordinate, [F_i >= 0] at the lower bound, [F_i <= 0] at the upper
-    bound and [F_i = 0] inside. Equivalent to [residual] up to
-    clamping, reported in the units of [F]. *)
-
-val projection_step :
-  gamma:float -> f -> Box.t -> Numerics.Vec.t -> Numerics.Vec.t
-(** One forward projection step [Proj_K (x - gamma F x)]; the basis of
-    the extragradient solver. *)
+type outcome = {
+  point : Numerics.Vec.t;  (** the last iterate *)
+  iterations : int;  (** extragradient steps taken *)
+  converged : bool;
+      (** the last step moved at most [tol] and the {!residual} there is
+          at most [max tol 1e-8] *)
+}
 
 val solve_extragradient :
   ?gamma:float ->
@@ -35,13 +27,9 @@ val solve_extragradient :
   f ->
   Box.t ->
   x0:Numerics.Vec.t ->
-  Numerics.Vec.t
-(** Korpelevich extragradient iteration. Converges for monotone
-    Lipschitz [F] with a small enough step [gamma] (default 0.2).
-    Raises [Numerics.Fixedpoint.No_convergence]. *)
-
-val is_monotone_on_samples :
-  ?samples:int -> Numerics.Rng.t -> f -> Box.t -> bool
-(** Randomized check of map monotonicity
-    [(F x - F y)^T (x - y) >= 0] on sample pairs; a necessary condition
-    witness, not a proof. *)
+  outcome
+(** Korpelevich extragradient iteration from [Proj_K x0], each step
+    [y = Proj_K (x - gamma F x)], [x' = Proj_K (x - gamma F y)].
+    Converges for monotone Lipschitz [F] with a small enough step
+    [gamma] (default 0.2). Running out of [max_iter] steps is reported
+    as [converged = false], not raised. *)

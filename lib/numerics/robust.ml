@@ -1,18 +1,16 @@
-type method_ = Newton | Secant | Brent | Bisection | Damped_iteration
+type method_ = Newton | Secant | Brent | Bisection
 
 let method_name = function
   | Newton -> "newton"
   | Secant -> "secant"
   | Brent -> "brent"
   | Bisection -> "bisection"
-  | Damped_iteration -> "damped-iteration"
 
 type failure =
   | Non_finite of { at : float; value : float }
   | No_bracket of { lo : float; hi : float }
   | Budget_exhausted of { evaluations : int }
   | Diverged of { residual : float }
-  | Oscillating of { residual : float }
   | Out_of_domain of { root : float }
   | Not_converged of { detail : string }
 
@@ -22,16 +20,10 @@ let failure_message = function
   | Budget_exhausted { evaluations } ->
     Printf.sprintf "evaluation budget exhausted after %d calls" evaluations
   | Diverged { residual } -> Printf.sprintf "diverged (residual %g)" residual
-  | Oscillating { residual } -> Printf.sprintf "oscillating (residual %g)" residual
   | Out_of_domain { root } -> Printf.sprintf "root %g outside the admissible domain" root
   | Not_converged { detail } -> detail
 
-type attempt = {
-  method_ : method_;
-  evaluations : int;
-  damping : float option;
-  failure : failure;
-}
+type attempt = { method_ : method_; evaluations : int; failure : failure }
 
 type error = {
   attempts : attempt list;
@@ -43,8 +35,7 @@ exception Solver_error of error
 
 let error_message e =
   let per_attempt a =
-    Printf.sprintf "%s%s: %s (%d evals)" (method_name a.method_)
-      (match a.damping with None -> "" | Some d -> Printf.sprintf "[damping=%g]" d)
+    Printf.sprintf "%s: %s (%d evals)" (method_name a.method_)
       (failure_message a.failure) a.evaluations
   in
   Printf.sprintf "all solvers failed [%s]; last residual %g"
@@ -66,17 +57,12 @@ let default_ctx = "unlabeled"
 
 type layer_handles = {
   root_calls_c : Obs.Metrics.counter;
-  fp_calls_c : Obs.Metrics.counter;
   attempt_c : method_ -> Obs.Metrics.counter;
   fault_c : failure -> Obs.Metrics.counter;
   fallbacks_c : Obs.Metrics.counter;
-  retries_c : Obs.Metrics.counter;
   root_failures_c : Obs.Metrics.counter;
-  fp_failures_c : Obs.Metrics.counter;
   root_latency_h : Obs.Metrics.histogram;
-  fp_latency_h : Obs.Metrics.histogram;
   root_evals_h : Obs.Metrics.histogram;
-  fp_evals_h : Obs.Metrics.histogram;
 }
 
 let make_handles layer =
@@ -88,43 +74,34 @@ let make_handles layer =
   let newton = attempt_of Newton
   and secant = attempt_of Secant
   and brent = attempt_of Brent
-  and bisection = attempt_of Bisection
-  and damped = attempt_of Damped_iteration in
+  and bisection = attempt_of Bisection in
   let fault_of name = Obs.Metrics.counter ~labels:(("reason", name) :: l) "solver.faults" in
   let non_finite = fault_of "non-finite"
   and no_bracket = fault_of "no-bracket"
   and budget = fault_of "budget"
   and diverged = fault_of "diverged"
-  and oscillating = fault_of "oscillating"
   and out_of_domain = fault_of "out-of-domain"
   and not_converged = fault_of "not-converged" in
   {
     root_calls_c = Obs.Metrics.counter ~labels:l "solver.root.calls";
-    fp_calls_c = Obs.Metrics.counter ~labels:l "solver.fixed_point.calls";
     attempt_c =
       (function
       | Newton -> newton
       | Secant -> secant
       | Brent -> brent
-      | Bisection -> bisection
-      | Damped_iteration -> damped);
+      | Bisection -> bisection);
     fault_c =
       (function
       | Non_finite _ -> non_finite
       | No_bracket _ -> no_bracket
       | Budget_exhausted _ -> budget
       | Diverged _ -> diverged
-      | Oscillating _ -> oscillating
       | Out_of_domain _ -> out_of_domain
       | Not_converged _ -> not_converged);
     fallbacks_c = Obs.Metrics.counter ~labels:l "solver.fallbacks";
-    retries_c = Obs.Metrics.counter ~labels:l "solver.retries";
     root_failures_c = Obs.Metrics.counter ~labels:(with_op "root") "solver.failures";
-    fp_failures_c = Obs.Metrics.counter ~labels:(with_op "fixed_point") "solver.failures";
     root_latency_h = Obs.Metrics.histogram ~labels:(with_op "root") "solver.latency";
-    fp_latency_h = Obs.Metrics.histogram ~labels:(with_op "fixed_point") "solver.latency";
     root_evals_h = Obs.Metrics.histogram ~labels:(with_op "root") "solver.evaluations";
-    fp_evals_h = Obs.Metrics.histogram ~labels:(with_op "fixed_point") "solver.evaluations";
   }
 
 (* the handle cache is domain-local: each domain lazily rebuilds its
@@ -143,23 +120,17 @@ let handles layer =
     Hashtbl.add handles_by_layer layer h;
     h
 
-let record_retry ?(ctx = default_ctx) () = Obs.Metrics.incr (handles ctx).retries_c
-
 type stats = {
   root_calls : int;
-  fixed_point_calls : int;
   newton_attempts : int;
   secant_attempts : int;
   brent_attempts : int;
   bisection_attempts : int;
-  damped_attempts : int;
   fallbacks : int;
-  retries : int;
   non_finite : int;
   no_bracket : int;
   budget_exhausted : int;
   diverged : int;
-  oscillations : int;
   failures : int;
 }
 
@@ -175,19 +146,15 @@ let stats () =
   let faults reason = by "solver.faults" "reason" reason in
   {
     root_calls = total "solver.root.calls";
-    fixed_point_calls = total "solver.fixed_point.calls";
     newton_attempts = attempts Newton;
     secant_attempts = attempts Secant;
     brent_attempts = attempts Brent;
     bisection_attempts = attempts Bisection;
-    damped_attempts = attempts Damped_iteration;
     fallbacks = total "solver.fallbacks";
-    retries = total "solver.retries";
     non_finite = faults "non-finite";
     no_bracket = faults "no-bracket";
     budget_exhausted = faults "budget";
     diverged = faults "diverged";
-    oscillations = faults "oscillating";
     failures = total "solver.failures";
   }
 
@@ -196,12 +163,12 @@ let reset_stats () = Obs.Metrics.reset ~prefix:"solver." ()
 let stats_summary () =
   let s = stats () in
   Printf.sprintf
-    "root calls %d (newton %d, secant %d, brent %d, bisection %d) | fixed-point calls \
-     %d (attempts %d) | fallbacks %d, retries %d | faults: non-finite %d, no-bracket \
-     %d, budget %d, diverged %d, oscillating %d | unrecovered failures %d"
+    "root calls %d (newton %d, secant %d, brent %d, bisection %d) | fallbacks %d | \
+     faults: non-finite %d, no-bracket %d, budget %d, diverged %d | unrecovered \
+     failures %d"
     s.root_calls s.newton_attempts s.secant_attempts s.brent_attempts
-    s.bisection_attempts s.fixed_point_calls s.damped_attempts s.fallbacks s.retries
-    s.non_finite s.no_bracket s.budget_exhausted s.diverged s.oscillations s.failures
+    s.bisection_attempts s.fallbacks s.non_finite s.no_bracket s.budget_exhausted
+    s.diverged s.failures
 
 (* ------------------------------------------------------------------ *)
 (* guarded evaluation *)
@@ -211,7 +178,7 @@ exception Poison of { at : float; value : float }
 type probe = unit -> unit
 
 (* cooperative-cancellation probe: called before every guarded
-   objective evaluation (root and fixed-point paths). A supervisor
+   objective evaluation (chain and fused root paths). A supervisor
    (Runner.Watchdog) installs a closure that raises its own deadline /
    budget exception; anything the probe raises is deliberately NOT part
    of the failure taxonomy below, so it escapes the fallback chain and
@@ -272,7 +239,7 @@ let root ?(tol = 1e-12) ?(max_iter = 200) ?df ?x0 ?domain ?(ctx = default_ctx) f
   let note method_ evals_before failure =
     Obs.Metrics.incr (h.fault_c failure);
     attempts :=
-      { method_; evaluations = !evals - evals_before; damping = None; failure }
+      { method_; evaluations = !evals - evals_before; failure }
       :: !attempts
   in
   let error () =
@@ -398,7 +365,7 @@ let root_fused ?(tol = 1e-12) ?(max_iter = 60) ?(halvings = 5) ?(ctx = default_c
     Error
       {
         attempts =
-          [ { method_ = Newton; evaluations = !evals; damping = None; failure } ];
+          [ { method_ = Newton; evaluations = !evals; failure } ];
         last_residual = !last_residual;
         bracket_history = [ (lo, hi) ];
       }
@@ -479,93 +446,3 @@ let root_fused ?(tol = 1e-12) ?(max_iter = 60) ?(halvings = 5) ?(ctx = default_c
     "the guarded evaluator raises Poison/Budget_exceeded and the single \
      match-exception block at the bottom folds every one of them into the \
      typed Error — nothing escapes the result type"]
-
-(* ------------------------------------------------------------------ *)
-(* fixed points with divergence/oscillation detection and damping retry *)
-
-type fp_success = {
-  fp : float Fixedpoint.result;
-  damping_used : float;
-  retries : int;
-}
-
-let fixed_point ?(tol = 1e-12) ?(max_iter = 1000) ?(damping = 1.) ?(max_retries = 4)
-    ?(ctx = default_ctx) f ~x0 =
-  if damping <= 0. || damping > 1. then
-    invalid_arg "Robust.fixed_point: damping must lie in (0, 1]";
-  let h = handles ctx in
-  Obs.Metrics.incr h.fp_calls_c;
-  let t_start = Obs.Clock.now () in
-  let total_evals = ref 0 in
-  let attempts = ref [] in
-  let last_residual = ref Float.infinity in
-  let run damping =
-    let evals = ref 0 in
-    let x = ref x0 in
-    let prev_x = ref Float.nan in
-    let best_residual = ref Float.infinity in
-    let result = ref None in
-    (try
-       let iter = ref 1 in
-       while !result = None && !iter <= max_iter do
-         incr evals;
-         let fx = observed_eval f !x in
-         if not (Float.is_finite fx) then raise (Poison { at = !x; value = fx });
-         (* undamped residual: the damped step understates it by 1/damping *)
-         let residual = Float.abs (fx -. !x) in
-         last_residual := residual;
-         if residual < !best_residual then best_residual := residual;
-         let x' = ((1. -. damping) *. !x) +. (damping *. fx) in
-         if residual <= tol then
-           result :=
-             Some (Ok { Fixedpoint.point = x'; residual; iterations = !iter })
-         else if not (Float.is_finite x') || Float.abs x' > 1e12 then
-           result := Some (Error (Diverged { residual }, !evals))
-         else if !iter > 5 && residual > 1e4 *. !best_residual then
-           result := Some (Error (Diverged { residual }, !evals))
-         else if Float.abs (x' -. !prev_x) <= tol && residual > tol then
-           result := Some (Error (Oscillating { residual }, !evals))
-         else begin
-           prev_x := !x;
-           x := x';
-           incr iter
-         end
-       done
-     with
-    | Poison { at; value } ->
-      result := Some (Error (Non_finite { at; value }, !evals))
-    | Fault.Budget_exceeded n ->
-      result := Some (Error (Budget_exhausted { evaluations = n }, !evals)));
-    total_evals := !total_evals + !evals;
-    match !result with
-    | Some r -> r
-    | None -> Error (Not_converged { detail = "iteration budget exhausted" }, !evals)
-  in
-  let rec attempt damping retries =
-    Obs.Metrics.incr (h.attempt_c Damped_iteration);
-    match run damping with
-    | Ok fp -> Ok { fp; damping_used = damping; retries }
-    | Error (failure, evaluations) ->
-      Obs.Metrics.incr (h.fault_c failure);
-      attempts :=
-        { method_ = Damped_iteration; evaluations; damping = Some damping; failure }
-        :: !attempts;
-      let terminal = match failure with Budget_exhausted _ -> true | _ -> false in
-      if retries < max_retries && not terminal then begin
-        record_retry ~ctx ();
-        attempt (damping /. 2.) (retries + 1)
-      end
-      else begin
-        Obs.Metrics.incr h.fp_failures_c;
-        Error
-          {
-            attempts = List.rev !attempts;
-            last_residual = !last_residual;
-            bracket_history = [];
-          }
-      end
-  in
-  let outcome = attempt damping 0 in
-  Obs.Metrics.observe h.fp_latency_h (Obs.Clock.elapsed ~since:t_start);
-  Obs.Metrics.observe h.fp_evals_h (float_of_int !total_evals);
-  outcome

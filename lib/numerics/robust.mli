@@ -1,5 +1,5 @@
 (** Resilient solver layer: [Result]-typed outcomes, fallback chains
-    and telemetry for every equilibrium computation.
+    and telemetry for every scalar root the equilibrium pipeline needs.
 
     The equilibrium pipeline nests numerical fixed points (utilization
     equilibrium inside best responses inside Nash iteration); a bare
@@ -9,16 +9,16 @@
     - {!root} runs a fallback chain Newton -> secant -> auto-bracketed
       Brent -> bisection with outward re-bracketing, with every
       objective evaluation guarded against NaN/Inf poison values;
-    - {!fixed_point} detects divergence and period-2 oscillation and
-      retries with halved damping up to a retry budget;
-    - every attempt, fallback, retry and failure is emitted into the
+    - {!root_fused} is the projected fused-Newton solve behind the
+      continuation corrector;
+    - every attempt, fallback and failure is emitted into the
       process-wide [Obs.Metrics] registry, labelled by solver method
       and by pipeline layer ([ctx], e.g. [layer=utilization]), together
       with per-call latency and objective-evaluation histograms; the
       {!stats} record remains as a compatibility facade aggregating the
       registry back into the historical counter blob. *)
 
-type method_ = Newton | Secant | Brent | Bisection | Damped_iteration
+type method_ = Newton | Secant | Brent | Bisection
 
 val method_name : method_ -> string
 
@@ -30,7 +30,6 @@ type failure =
   | Budget_exhausted of { evaluations : int }
       (** a {!Fault.Budget} wrapper ran out; terminal for the chain *)
   | Diverged of { residual : float }
-  | Oscillating of { residual : float }
   | Out_of_domain of { root : float }
       (** the method converged, but outside the admissible domain *)
   | Not_converged of { detail : string }
@@ -40,7 +39,6 @@ val failure_message : failure -> string
 type attempt = {
   method_ : method_;
   evaluations : int;  (** objective calls spent by this attempt *)
-  damping : float option;  (** the damping used, for fixed-point attempts *)
   failure : failure;
 }
 
@@ -129,34 +127,13 @@ val root_fused :
     {!root} (the fused evaluations land in [solver.evaluations]);
     probes and global faults apply to every fused evaluation. *)
 
-type fp_success = {
-  fp : float Fixedpoint.result;
-  damping_used : float;  (** the damping that finally converged *)
-  retries : int;
-}
-
-val fixed_point :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?damping:float ->
-  ?max_retries:int ->
-  ?ctx:string ->
-  (float -> float) ->
-  x0:float ->
-  (fp_success, error) result
-(** Damped fixed-point iteration on the undamped residual
-    [|f x - x|], with divergence detection (non-finite or exploding
-    iterates, residual growing 1e4x past its best) and period-2
-    oscillation detection. On failure the damping is halved and the
-    iteration restarted, up to [max_retries] (default 4) times. *)
-
 (** {2 Supervision hooks} *)
 
 type probe = unit -> unit
 
 val with_probe : probe -> (unit -> 'a) -> 'a
 (** [with_probe p f] runs [f] with [p] invoked before {e every} guarded
-    objective evaluation ({!root} and {!fixed_point} alike), composed
+    objective evaluation ({!root} and {!root_fused} alike), composed
     after any probe already installed, and uninstalled on exit (normal
     or exceptional). The probe is the sanctioned cooperative-
     cancellation point: [Runner.Watchdog] installs a closure that
@@ -189,19 +166,15 @@ val with_probe_snapshot : probe -> (unit -> 'a) -> 'a
 
 type stats = {
   root_calls : int;
-  fixed_point_calls : int;
   newton_attempts : int;
   secant_attempts : int;
   brent_attempts : int;
   bisection_attempts : int;
-  damped_attempts : int;
   fallbacks : int;  (** failed links skipped over by successful calls *)
-  retries : int;  (** damping-halving restarts *)
   non_finite : int;
   no_bracket : int;
   budget_exhausted : int;
   diverged : int;
-  oscillations : int;
   failures : int;  (** calls whose whole chain failed *)
 }
 
@@ -218,8 +191,3 @@ val reset_stats : unit -> unit
 
 val stats_summary : unit -> string
 (** One paragraph for end-of-run reports. *)
-
-val record_retry : ?ctx:string -> unit -> unit
-(** For higher-level solvers (e.g. tatonnement) that implement their own
-    damping-halving retry loop but should appear in the shared
-    telemetry; [ctx] labels the layer as in {!root}. *)

@@ -134,22 +134,9 @@ let telemetry_table () =
     (fun (layer, op, (s : Metrics.summary)) ->
       let in_layer labels = Metrics.label labels "layer" = Some layer in
       let in_layer_op labels = in_layer labels && Metrics.label labels "op" = Some op in
-      let calls =
-        counter
-          (if op = "root" then "solver.root.calls" else "solver.fixed_point.calls")
-          in_layer
-      in
-      let attempts =
-        counter "solver.attempts" (fun labels ->
-            in_layer labels
-            &&
-            let damped = Metrics.label labels "method" = Some "damped-iteration" in
-            if op = "root" then not damped else damped)
-      in
-      let recoveries =
-        if op = "root" then counter "solver.fallbacks" in_layer
-        else counter "solver.retries" in_layer
-      in
+      let calls = counter "solver.root.calls" in_layer in
+      let attempts = counter "solver.attempts" in_layer in
+      let recoveries = counter "solver.fallbacks" in_layer in
       let failures = counter "solver.failures" in_layer_op in
       let evals = Metrics.sum_histograms ~where:in_layer_op "solver.evaluations" in
       Report.Table.add_row table

@@ -20,7 +20,7 @@ val metrics_table : ?prefix:string -> unit -> Report.Table.t
 
 val telemetry_table : unit -> Report.Table.t
 (** The end-of-run solver table: one row per (layer, op) with call and
-    attempt counts, fallback/retry rate, failure count, total objective
+    attempt counts, fallback rate, failure count, total objective
     evaluations, and p50/p99 solve latency. Empty when no solver ran. *)
 
 val write_json : path:string -> Json.t -> unit

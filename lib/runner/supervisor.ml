@@ -41,7 +41,7 @@ let backoff_delay ?rng retry ~attempt =
 
 let retryable = function
   | Numerics.Robust.Solver_error _ | Numerics.Rootfind.No_bracket _
-  | Numerics.Rootfind.No_convergence _ | Numerics.Fixedpoint.No_convergence _ ->
+  | Numerics.Rootfind.No_convergence _ ->
     true
   | _ -> false
 

@@ -8,9 +8,26 @@ let test_br_trace_matches_nash () =
   let g = game () in
   let static = Nash.solve g in
   let trace = Dynamics.best_response_trace g ~x0:(Vec.zeros 8) in
-  check_true "converged" trace.Gametheory.Tatonnement.converged;
+  check_true "converged" trace.Gametheory.Best_response.converged;
   check_true "same point"
-    (Vec.dist_inf (Gametheory.Tatonnement.final trace) static.Nash.subsidies < 1e-8)
+    (Vec.dist_inf trace.Gametheory.Best_response.profile static.Nash.subsidies < 1e-8)
+
+(* the adjustment trace and the static solver run the same sweep loop on
+   the same game from the same start, so they agree to the last bit *)
+let test_br_trace_is_nash_solve () =
+  let g = game () in
+  let static = Nash.solve g in
+  let trace = Dynamics.best_response_trace g ~x0:(Vec.zeros 8) in
+  Array.iteri
+    (fun i s ->
+      Alcotest.(check int64)
+        (Printf.sprintf "s_%d bit for bit" i)
+        (Int64.bits_of_float static.Nash.subsidies.(i))
+        (Int64.bits_of_float s))
+    trace.Gametheory.Best_response.profile;
+  Alcotest.(check int) "same sweeps" static.Nash.sweeps trace.Gametheory.Best_response.sweeps;
+  Alcotest.(check int) "one move per sweep" trace.Gametheory.Best_response.sweeps
+    (List.length trace.Gametheory.Best_response.moves)
 
 let test_gradient_flow_matches_nash () =
   let g = game () in
@@ -47,6 +64,7 @@ let suite =
   ( "dynamics",
     [
       quick "br trace matches nash" test_br_trace_matches_nash;
+      quick "br trace is nash solve" test_br_trace_is_nash_solve;
       quick "gradient flow matches nash" test_gradient_flow_matches_nash;
       quick "compare agrees" test_compare_agrees;
       quick "compare from interior" test_compare_from_interior_start;

@@ -61,6 +61,39 @@ let test_corner_game_solution () =
   check_close ~tol:1e-9 "corner x0" star out.Best_response.profile.(0);
   check_close ~tol:1e-9 "corner x1" star out.Best_response.profile.(1)
 
+let test_trace_records_moves () =
+  let game, star = Game_fixtures.cournot () in
+  let out = Best_response.solve game ~x0:(Vec.zeros 2) in
+  check_true "converged" out.Best_response.converged;
+  Alcotest.(check int) "one move per sweep" out.Best_response.sweeps
+    (List.length out.Best_response.moves);
+  (match List.rev out.Best_response.moves with
+  | last :: _ -> check_true "last move within tol" (last <= 1e-10)
+  | [] -> Alcotest.fail "empty trace");
+  check_close ~tol:1e-8 "final at Nash" star out.Best_response.profile.(0)
+
+let test_moves_shrink () =
+  let game, _ = Game_fixtures.cournot () in
+  let out = Best_response.solve game ~x0:(Vec.zeros 2) in
+  (* Gauss-Seidel on Cournot contracts: later moves smaller than the first *)
+  match out.Best_response.moves with
+  | first :: rest ->
+    List.iter (fun m -> check_true "moves shrink" (m <= first +. 1e-12)) rest
+  | [] -> Alcotest.fail "no moves"
+
+let test_contraction_estimate () =
+  let game, _ = Game_fixtures.cournot () in
+  let out = Best_response.solve ~tol:1e-12 game ~x0:(Vec.ones 2) in
+  match Best_response.contraction_estimate out with
+  | Some rate -> check_in_range "contraction factor" ~lo:0. ~hi:0.99 rate
+  | None -> Alcotest.fail "expected a contraction estimate"
+
+let test_damped_matches_undamped_limit () =
+  let game, star = Game_fixtures.cournot () in
+  let damped = Best_response.solve ~damping:0.5 game ~x0:(Vec.zeros 2) in
+  check_true "damped converges" damped.Best_response.converged;
+  check_close ~tol:1e-7 "same limit" star damped.Best_response.profile.(0)
+
 let prop_cournot_family =
   prop "iterated best response solves Cournot for random costs" ~count:50
     (float_range 0. 0.9)
@@ -75,10 +108,11 @@ let prop_nash_is_vi_solution =
     (fun c ->
       let game, _ = Game_fixtures.cournot ~c () in
       let out = Best_response.solve game ~x0:(Vec.zeros 2) in
-      Vi.is_solution ~tol:1e-6
+      Vi.residual
         (Game_fixtures.cournot_vi_map ~c ())
         (Box.uniform ~dim:2 ~lo:0. ~hi:1.)
-        out.Best_response.profile)
+        out.Best_response.profile
+      <= 1e-7)
 
 let suite =
   ( "best-response",
@@ -92,6 +126,10 @@ let suite =
       quick "unconverged flagged" test_unconverged_flagged;
       quick "multistart" test_multistart;
       quick "corner game" test_corner_game_solution;
+      quick "trace records" test_trace_records_moves;
+      quick "moves shrink" test_moves_shrink;
+      quick "contraction estimate" test_contraction_estimate;
+      quick "damped limit" test_damped_matches_undamped_limit;
       prop_cournot_family;
       prop_nash_is_vi_solution;
     ] )

@@ -5,6 +5,5 @@ let () =
       Suite_matrix_props.suite;
       Suite_vi.suite;
       Suite_best_response.suite;
-      Suite_tatonnement.suite;
       Suite_gradient_dynamics.suite;
     ]

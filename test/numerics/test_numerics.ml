@@ -6,7 +6,6 @@ let () =
       Suite_linalg.suite;
       Suite_eigen.suite;
       Suite_rootfind.suite;
-      Suite_fixedpoint.suite;
       Suite_diff.suite;
       Suite_dual.suite;
       Suite_continuation.suite;

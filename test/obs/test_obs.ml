@@ -568,7 +568,6 @@ let bench_record figs =
                    ("id", Obs.Json.Str id);
                    ("seconds", Obs.Json.Num seconds);
                    ("root_calls", Obs.Json.Num roots);
-                   ("fixed_point_calls", Obs.Json.Num 3.);
                    ("objective_evaluations", Obs.Json.Num evals);
                  ])
              figs) );

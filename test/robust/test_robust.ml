@@ -105,83 +105,6 @@ let test_budget_exhaustion_is_typed () =
   Alcotest.(check int) "counted as an unrecovered failure" 1 st.Robust.failures
 
 (* ------------------------------------------------------------------ *)
-(* fixed-point retry ladder *)
-
-let test_oscillation_triggers_damping_retry () =
-  Robust.reset_stats ();
-  (* x -> 1 - x cycles with period 2 undamped; one halving settles it *)
-  (match Robust.fixed_point (fun x -> 1. -. x) ~x0:0.2 with
-  | Error e -> Alcotest.failf "retry ladder failed: %s" (Robust.error_message e)
-  | Ok s ->
-    check_close ~tol:1e-9 "fixed point" 0.5 s.Robust.fp.Fixedpoint.point;
-    Alcotest.(check int) "one retry" 1 s.Robust.retries;
-    check_close "halved damping" 0.5 s.Robust.damping_used);
-  let st = Robust.stats () in
-  Alcotest.(check int) "oscillation detected" 1 st.Robust.oscillations;
-  Alcotest.(check int) "retry counted" 1 st.Robust.retries;
-  Alcotest.(check int) "two damped attempts" 2 st.Robust.damped_attempts;
-  Alcotest.(check int) "no failure" 0 st.Robust.failures
-
-let test_divergence_exhausts_retry_budget () =
-  Robust.reset_stats ();
-  (* slope-2 repeller: every damping in the ladder still diverges *)
-  (match Robust.fixed_point ~max_retries:2 (fun x -> (2. *. x) +. 1.) ~x0:0. with
-  | Ok _ -> Alcotest.fail "expected divergence"
-  | Error e ->
-    Alcotest.(check int) "three attempts recorded" 3 (List.length e.Robust.attempts);
-    List.iter
-      (fun a ->
-        check_true "each attempt diverged"
-          (match a.Robust.failure with Robust.Diverged _ -> true | _ -> false))
-      e.Robust.attempts);
-  let st = Robust.stats () in
-  Alcotest.(check int) "divergence taxonomy" 3 st.Robust.diverged;
-  Alcotest.(check int) "retry budget spent" 2 st.Robust.retries;
-  Alcotest.(check int) "one unrecovered failure" 1 st.Robust.failures
-
-let test_fixed_point_nan_guard () =
-  Robust.reset_stats ();
-  let inj = Fault.inject (Fault.Nan_after 3) cos in
-  (match Robust.fixed_point ~max_retries:1 inj.Fault.f ~x0:1. with
-  | Ok _ -> Alcotest.fail "expected poison to be detected"
-  | Error e ->
-    check_true "poison site recorded"
-      (List.exists
-         (fun a ->
-           match a.Robust.failure with Robust.Non_finite _ -> true | _ -> false)
-         e.Robust.attempts));
-  let st = Robust.stats () in
-  Alcotest.(check int) "poison on the attempt and its retry" 2 st.Robust.non_finite;
-  Alcotest.(check int) "one unrecovered failure" 1 st.Robust.failures
-
-(* ------------------------------------------------------------------ *)
-(* tatonnement damping retry *)
-
-let test_tatonnement_damping_retry () =
-  Robust.reset_stats ();
-  (* chase-and-evade: undamped Gauss-Seidel best response cycles with
-     period 2; halved damping contracts to the (0.5, 0.5) equilibrium *)
-  let box = Gametheory.Box.uniform ~dim:2 ~lo:0. ~hi:1. in
-  let payoff i s =
-    if i = 0 then -.((s.(0) -. s.(1)) ** 2.)
-    else -.((s.(1) -. (1. -. s.(0))) ** 2.)
-  in
-  let marginal i s =
-    if i = 0 then -2. *. (s.(0) -. s.(1)) else -2. *. (s.(1) -. (1. -. s.(0)))
-  in
-  let game = Gametheory.Best_response.make ~marginal ~box ~payoff () in
-  let r =
-    Gametheory.Tatonnement.run_resilient ~max_sweeps:80 game
-      ~x0:(Vec.of_list [ 0.; 0. ])
-  in
-  check_true "converged after damping retry" r.Gametheory.Tatonnement.trace.converged;
-  check_true "at least one retry" (r.Gametheory.Tatonnement.retries >= 1);
-  let final = Gametheory.Tatonnement.final r.Gametheory.Tatonnement.trace in
-  check_close ~tol:1e-6 "player 0 settles" 0.5 final.(0);
-  check_close ~tol:1e-6 "player 1 settles" 0.5 final.(1);
-  check_true "retries visible in shared telemetry" ((Robust.stats ()).Robust.retries >= 1)
-
-(* ------------------------------------------------------------------ *)
 (* typed solver errors out of the equilibrium stack *)
 
 let poisoned_game () =
@@ -249,10 +172,6 @@ let suite =
       quick "spike -> secant" test_spike_recovered_by_secant;
       quick "plateau -> brent" test_plateau_recovered_by_brent;
       quick "budget -> typed error" test_budget_exhaustion_is_typed;
-      quick "oscillation -> damping retry" test_oscillation_triggers_damping_retry;
-      quick "divergence -> retry budget" test_divergence_exhausts_retry_budget;
-      quick "fixed-point nan guard" test_fixed_point_nan_guard;
-      quick "tatonnement damping retry" test_tatonnement_damping_retry;
       quick "system typed error" test_system_typed_error;
       quick "nash propagates typed error" test_nash_propagates_typed_error;
       quick "poisoned sweep degrades" test_poisoned_sweep_degrades;
