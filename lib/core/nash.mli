@@ -1,8 +1,9 @@
 (** Nash equilibria of the subsidization game (Theorems 3 and 4).
 
-    The solver iterates exact best responses (Gauss-Seidel by default);
-    the resulting profile is certified by the Theorem-3 KKT conditions
-    and the variational-inequality residual with [F = -u]. *)
+    Cold solves iterate exact best responses (Gauss-Seidel by
+    default); continuation cells, which start from a predicted profile,
+    are corrected by Newton's method on the Theorem-3 conditions. Every
+    resulting profile is certified by the Theorem-3 KKT residual. *)
 
 type classification = Lower | Interior | Upper
 (** Membership in the paper's partition: [Lower = N-] (subsidy 0),
@@ -35,6 +36,32 @@ val solve :
     Raises {!Numerics.Robust.Solver_error} when the underlying
     utilization equilibrium is numerically unsolvable at some profile
     (after the whole fallback chain has been tried). *)
+
+val correct : x0:Numerics.Vec.t -> Subsidy_game.t -> equilibrium
+(** The continuation corrector: projected semismooth Newton on the
+    Theorem-3 conditions, i.e. on the natural map
+    [s - P(s + u(s))] of [VI(-u, [0,q]^n)], from the predicted profile
+    [x0] (clamped into the box). Each step pins the CPs the projection
+    sends to a bound and solves [J_FF d_F = -(u_F + J_FA d_A)] over the
+    free ones with the exact Jacobian
+    ({!Subsidy_game.marginal_jacobian_exact}, built from the iterate's
+    own utilization equilibrium), then backtracks on the sup-norm
+    natural residual. It stops when that residual is at most 1e-11. A
+    singular step, a step no halving makes decrease the residual, or
+    12 steps without converging hand the best iterate to {!solve}
+    (best response).
+    Newton steps count on [continuation.corrector.iters], a hand-off on
+    [continuation.fallbacks]; [sweeps] of a Newton answer is its step
+    count. Theorem 4's P-matrix condition makes every [J_FF]
+    nonsingular. Raises like {!solve}. *)
+
+val solve_cell :
+  Numerics.Continuation.track -> at:float -> Subsidy_game.t -> equilibrium
+(** One continuation cell of a sweep over a parameter axis (price or
+    cap) at value [at]: {!correct} from the track's prediction, or
+    {!solve} (best response from zero) when the track has no history or
+    the warm attempt does not settle (see
+    {!Numerics.Continuation.solve_cell}). *)
 
 val solve_result :
   ?scheme:Gametheory.Best_response.scheme ->

@@ -27,15 +27,7 @@ let point_at sys ~price ~cap =
    two equilibria) *)
 let sweep_step sys ~cap track price =
   let solve () =
-    let game = Subsidy_game.make sys ~price ~cap in
-    let eq =
-      Numerics.Continuation.solve_cell track ~at:price
-        ~clamp:(Numerics.Vec.clamp ~lo:0. ~hi:cap)
-        ~solve:(fun x0 -> Nash.solve ?x0 game)
-        ~extract:(fun (eq : Nash.equilibrium) ->
-          (eq.Nash.subsidies, eq.Nash.converged))
-        ()
-    in
+    let eq = Nash.solve_cell track ~at:price (Subsidy_game.make sys ~price ~cap) in
     (point_of_equilibrium sys ~price ~cap eq, track)
   in
   if Obs.Trace.enabled () then
@@ -86,22 +78,14 @@ let policy_sweep ?pool ?(chunk = default_chunk) sys ~caps ~prices =
 
 let optimal_price ?(p_max = 3.) ?(points = 49) ?track sys ~cap =
   let game = Subsidy_game.make sys ~price:0. ~cap in
-  let p_star, _ = Revenue.optimal_price ~p_max ~points ?track game in
-  point_at sys ~price:p_star ~cap
+  let price, eq, _ = Revenue.optimal_price ~p_max ~points ?track game in
+  point_of_equilibrium sys ~price ~cap eq
 
 let deregulation_ladder sys ~price ~caps =
   Parallel.Pool.fold_map
     ~init:(Numerics.Continuation.track ())
     ~step:(fun track cap ->
-      let game = Subsidy_game.make sys ~price ~cap in
-      let eq =
-        Numerics.Continuation.solve_cell track ~at:cap
-          ~clamp:(Numerics.Vec.clamp ~lo:0. ~hi:cap)
-          ~solve:(fun x0 -> Nash.solve ?x0 game)
-          ~extract:(fun (eq : Nash.equilibrium) ->
-            (eq.Nash.subsidies, eq.Nash.converged))
-          ()
-      in
+      let eq = Nash.solve_cell track ~at:cap (Subsidy_game.make sys ~price ~cap) in
       (point_of_equilibrium sys ~price ~cap eq, track))
     caps
 

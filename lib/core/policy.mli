@@ -53,7 +53,8 @@ val optimal_price :
   cap:float ->
   point
 (** The ISP's revenue-maximizing response [p*(q)] and the resulting
-    market point. [track] carries the price search's continuation warm
+    market point, built from the equilibrium the search solved at
+    [p*]. [track] carries the price search's continuation warm
     state across calls (see {!Revenue.optimal_price}). *)
 
 val deregulation_ladder :

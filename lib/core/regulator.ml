@@ -12,7 +12,7 @@ let isp_price ?(p_max = 2.5) sys ~cap ~price_cap =
   if ceiling <= 0. then 0.
   else begin
     let game = Subsidy_game.make sys ~price:0. ~cap in
-    let p_star, _ = Revenue.optimal_price ~p_max:ceiling game in
+    let p_star, _, _ = Revenue.optimal_price ~p_max:ceiling game in
     p_star
   end
 

@@ -31,16 +31,23 @@ val curve :
   Subsidy_game.t -> prices:float array -> (float * Nash.equilibrium * float) array
 (** [(p, equilibrium(p), R(p))] along a price grid, each solve
     continuation-predicted from the previous cells (secant through the
-    last two, plain warm start after the first). *)
+    last two, plain warm start after the first) and corrected by
+    {!Nash.correct}. *)
 
 val optimal_price :
   ?p_max:float ->
   ?points:int ->
   ?track:Numerics.Continuation.track ->
   Subsidy_game.t ->
-  float * float
-(** The revenue-maximizing price and revenue for the game's policy cap,
-    over [\[0, p_max\]] (default 3, 49 scan points). The search walks a
-    continuation track over the price axis; pass [track] to keep that
-    warm state alive across calls (e.g. along an outer capacity
-    search). *)
+  float * Nash.equilibrium * float
+(** [(p_star, equilibrium at p_star, R at p_star)]: the revenue-maximizing price for
+    the game's policy cap over [\[0, p_max\]] (default 3), the
+    equilibrium solved there, and its revenue. A coarse scan of
+    [points] prices (default 49) brackets the argmax
+    [\[x_(k-1), x_(k+1)\]]; when the Theorem-7 [dR/dp]
+    ({!marginal_formula}, read off each cell's own equilibrium) changes
+    sign across that bracket, Brent's method solves [dR/dp = 0] in it,
+    otherwise (e.g. an argmax at an end of the grid) golden-section
+    search on [R] refines it to 1e-5. The search walks a continuation
+    track over the price axis; pass [track] to keep that warm state
+    alive across calls (e.g. along an outer capacity search). *)

@@ -15,15 +15,11 @@ let partition ?tol game ~subsidies =
     upper = collect Nash.Upper;
   }
 
-let interior_solve game ~subsidies ~forcing =
-  (* solve (grad_s~ u~) x = -forcing for the interior coordinates *)
-  let part = partition game ~subsidies in
-  if Array.length part.interior = 0 then [||]
-  else begin
-    let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
-    let a = Mat.submatrix j ~row_idx:part.interior ~col_idx:part.interior in
-    Linalg.solve a (Vec.map (fun b -> -.b) forcing)
-  end
+(* solve (grad_s~ u~) x = -forcing for the interior coordinates, with
+   the Jacobian [j] already in hand *)
+let interior_solve j (part : partition) ~forcing =
+  let a = Mat.submatrix j ~row_idx:part.interior ~col_idx:part.interior in
+  Linalg.solve a (Vec.map (fun b -> -.b) forcing)
 
 let ds_dq game ~subsidies =
   let part = partition game ~subsidies in
@@ -37,20 +33,22 @@ let ds_dq game ~subsidies =
         (fun k -> Array.fold_left (fun acc jdx -> acc +. Mat.get j k jdx) 0. part.upper)
         part.interior
     in
-    let x = interior_solve game ~subsidies ~forcing in
+    let x = interior_solve j part ~forcing in
     Array.iteri (fun idx i -> result.(i) <- x.(idx)) part.interior
   end;
   result
 
-let ds_dp game ~subsidies =
+let ds_dp ?state game ~subsidies =
   let part = partition game ~subsidies in
   let n = Subsidy_game.dim game in
   let result = Vec.zeros n in
   if Array.length part.interior > 0 then begin
+    let state = Subsidy_game.resolve_state ?state game ~subsidies in
     (* the exact du/dp forcing term: one price-seeded dual pass *)
-    let dup = Subsidy_game.marginal_utilities_dp game ~subsidies in
+    let dup = Subsidy_game.marginal_utilities_dp ~state game ~subsidies in
     let forcing = Array.map (fun k -> Dual.d dup.(k)) part.interior in
-    let x = interior_solve game ~subsidies ~forcing in
+    let j = Subsidy_game.marginal_jacobian_exact ~state game ~subsidies in
+    let x = interior_solve j part ~forcing in
     Array.iteri (fun idx i -> result.(i) <- x.(idx)) part.interior
   end;
   result

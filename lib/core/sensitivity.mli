@@ -24,9 +24,11 @@ val ds_dq : Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
     [-Psi grad_{N+} u~ 1] on [N~]. Raises [Numerics.Linalg.Singular]
     when the equilibrium is not regular. *)
 
-val ds_dp : Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
+val ds_dp :
+  ?state:System.state -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
 (** Equation (12): the price derivative at fixed policy — 0 outside
-    [N~], [-Psi du~/dp] on it. *)
+    [N~], [-Psi du~/dp] on it; [state] as in
+    {!Subsidy_game.resolve_state}. *)
 
 (** {2 Policy effect with ISP price response (Theorem 8)} *)
 

@@ -54,8 +54,15 @@ let utility g ~subsidies i =
   if i < 0 || i >= dim g then invalid_arg "Subsidy_game.utility: CP index out of range";
   utility_at g (state g ~subsidies) i
 
-let utilities g ~subsidies =
-  let st = state g ~subsidies in
+let resolve_state ?state:known g ~subsidies =
+  match known with
+  | Some st ->
+    check_subsidies g subsidies;
+    st
+  | None -> state g ~subsidies
+
+let utilities ?state g ~subsidies =
+  let st = resolve_state ?state g ~subsidies in
   Vec.init (dim g) (fun i -> utility_at g st i)
 
 let revenue g ~subsidies =
@@ -85,8 +92,8 @@ let marginal_utility g ~subsidies i =
     invalid_arg "Subsidy_game.marginal_utility: CP index out of range";
   marginal_utility_at g (state g ~subsidies) i
 
-let marginal_utilities g ~subsidies =
-  let st = state g ~subsidies in
+let marginal_utilities ?state g ~subsidies =
+  let st = resolve_state ?state g ~subsidies in
   Vec.init (dim g) (fun i -> marginal_utility_at g st i)
 
 let threshold_tau g ~subsidies i =
@@ -141,14 +148,9 @@ let fused_marginal g i s si =
   (D2.d u, D2.dd u)
 
 (* one column of the marginal-utility Jacobian, exactly: all n analytic
-   marginals evaluated in dual arithmetic seeded on s_j (one warm
-   primal solve, one first-order kernel pass) *)
-let marginal_utilities_d g ~subsidies j =
-  check_subsidies g subsidies;
-  Numerics.Precondition.require ~fn:"Subsidy_game.marginal_utilities_d"
-    (j >= 0 && j < dim g)
-    "CP index out of range";
-  let st = state g ~subsidies in
+   marginals evaluated in dual arithmetic seeded on s_j (one
+   first-order kernel pass over the solved state [st]) *)
+let column_d g (st : System.state) ~subsidies j =
   Ad.record_pass ();
   let n = dim g in
   let t_j = Dual.make ~v:st.System.charges.(j) ~d:(-1.) in
@@ -179,12 +181,18 @@ let marginal_utilities_d g ~subsidies j =
       let congestion_loss = Dual.(m_k * rate_slope_k * dphi_dsub_k) in
       Dual.(direct + (margin * (demand_gain + congestion_loss))))
 
+let marginal_utilities_d g ~subsidies j =
+  check_subsidies g subsidies;
+  Numerics.Precondition.require ~fn:"Subsidy_game.marginal_utilities_d"
+    (j >= 0 && j < dim g)
+    "CP index out of range";
+  column_d g (state g ~subsidies) ~subsidies j
+
 (* all n analytic marginals as duals seeded on the ISP price p (every
    charge moves together): the exact [du/dp] column of the Theorem-6
    sensitivity forcing term *)
-let marginal_utilities_dp g ~subsidies =
-  check_subsidies g subsidies;
-  let st = state g ~subsidies in
+let marginal_utilities_dp ?state g ~subsidies =
+  let st = resolve_state ?state g ~subsidies in
   Ad.record_pass ();
   let n = dim g in
   let t = Array.init n (fun k -> Dual.make ~v:st.System.charges.(k) ~d:1.) in
@@ -207,9 +215,10 @@ let marginal_utilities_dp g ~subsidies =
       let congestion_loss = Dual.(m_k * rate_slope_k * dphi_dsub_k) in
       Dual.(direct + (margin * (demand_gain + congestion_loss))))
 
-let marginal_jacobian_exact g ~subsidies =
+let marginal_jacobian_exact ?state g ~subsidies =
+  let st = resolve_state ?state g ~subsidies in
   let n = dim g in
-  let cols = Array.init n (fun j -> marginal_utilities_d g ~subsidies j) in
+  let cols = Array.init n (fun j -> column_d g st ~subsidies j) in
   Mat.init ~rows:n ~cols:n (fun k j -> Dual.d cols.(j).(k))
 
 let to_game ?respond_points ?(fused = true) g =

@@ -38,10 +38,18 @@ val state : t -> subsidies:Numerics.Vec.t -> System.state
     from the previous solve on this game value (cached internally), so
     sweeping nearby profiles is fast. *)
 
+val resolve_state : ?state:System.state -> t -> subsidies:Numerics.Vec.t -> System.state
+(** [state] when the caller already holds the utilization equilibrium
+    at [subsidies] (only the profile's dimension is checked), else
+    {!state}. Every [?state] argument below follows this contract: it
+    saves the Lemma-1 solve. *)
+
 val utility : t -> subsidies:Numerics.Vec.t -> int -> float
 (** [U_i(s)]. *)
 
-val utilities : t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
+val utilities :
+  ?state:System.state -> t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
+(** All [U_i(s)]; [state] as in {!resolve_state}. *)
 
 val revenue : t -> subsidies:Numerics.Vec.t -> float
 (** The ISP's revenue [p * theta(s)] under the profile. *)
@@ -55,7 +63,8 @@ val marginal_utility : t -> subsidies:Numerics.Vec.t -> int -> float
     [-m_i lambda_i
      + (v_i - s_i) * (-m_i'(t_i) lambda_i + m_i lambda_i' dphi/ds_i)]. *)
 
-val marginal_utilities : t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
+val marginal_utilities :
+  ?state:System.state -> t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
 
 val threshold_tau : t -> subsidies:Numerics.Vec.t -> int -> float
 (** Equation (9):
@@ -77,15 +86,17 @@ val marginal_utilities_d :
     exact Jacobian column [du_k/ds_j]. One warm primal solve. *)
 
 val marginal_utilities_dp :
-  t -> subsidies:Numerics.Vec.t -> Numerics.Dual.t array
+  ?state:System.state -> t -> subsidies:Numerics.Vec.t -> Numerics.Dual.t array
 (** All [n] marginal utilities as duals seeded on the ISP price (every
     effective charge moves together): primal values plus the exact
     [du_k/dp] — the Theorem-6/8 forcing term without a price stencil. *)
 
-val marginal_jacobian_exact : t -> subsidies:Numerics.Vec.t -> Numerics.Mat.t
-(** The full marginal-utility Jacobian [du_i/ds_j] from [n] column
-    passes — the Theorem-6 sensitivity input, exact instead of
-    stenciled. *)
+val marginal_jacobian_exact :
+  ?state:System.state -> t -> subsidies:Numerics.Vec.t -> Numerics.Mat.t
+(** The full marginal-utility Jacobian [du_i/ds_j]: [n] column passes
+    over one utilization equilibrium (one Lemma-1 solve, none with
+    [state]) — the Theorem-6 sensitivity input and the Newton
+    corrector's step matrix, exact instead of stenciled. *)
 
 val to_game :
   ?respond_points:int -> ?fused:bool -> t -> Gametheory.Best_response.game

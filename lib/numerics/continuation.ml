@@ -56,6 +56,10 @@ let correct ?tol ?max_iter ?ctx f_df ~x0 ~lo ~hi =
     | Ok s -> Fell_back s
     | Error e -> Failed e)
 
+let record_correction ~iterations ~fell_back =
+  Obs.Metrics.incr ~by:(float_of_int iterations) iters_c;
+  if fell_back then Obs.Metrics.incr fallbacks_c
+
 (* ------------------------------------------------------------------ *)
 (* cell driver *)
 

@@ -55,6 +55,12 @@ val correct :
     [continuation.corrector.iters] counter; entering the fallback chain
     increments [continuation.fallbacks]. *)
 
+val record_correction : iterations:int -> fell_back:bool -> unit
+(** Account a corrector that lives outside this module (e.g. a vector
+    Newton solve of a whole cell) on the same counters as {!correct}:
+    [iterations] land in [continuation.corrector.iters], and
+    [fell_back] increments [continuation.fallbacks]. *)
+
 (** {2 Cell driver} *)
 
 val solve_cell :

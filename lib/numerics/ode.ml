@@ -10,19 +10,16 @@ let rk4_step ~f ~t ~dt x =
   in
   Vec.axpy (dt /. 6.) increment x
 
-let euler_step ~f ~t ~dt x = Vec.axpy dt (f t x) x
-
-let integrate ?(method_ = `Rk4) ?(post = fun x -> x) ~f ~t0 ~t1 ~dt x0 =
+let integrate ?(post = fun x -> x) ~f ~t0 ~t1 ~dt x0 =
   if dt <= 0. then invalid_arg "Ode.integrate: dt must be positive";
   if t1 < t0 then invalid_arg "Ode.integrate: t1 < t0";
-  let step = match method_ with `Rk4 -> rk4_step | `Euler -> euler_step in
   let times = ref [ t0 ] in
   let states = ref [ Vec.copy x0 ] in
   let t = ref t0 in
   let x = ref (Vec.copy x0) in
   while !t < t1 -. 1e-15 do
     let h = Float.min dt (t1 -. !t) in
-    x := post (step ~f ~t:!t ~dt:h !x);
+    x := post (rk4_step ~f ~t:!t ~dt:h !x);
     t := !t +. h;
     times := !t :: !times;
     states := Vec.copy !x :: !states

@@ -12,10 +12,7 @@ type trajectory = {
 val rk4_step : f:(float -> Vec.t -> Vec.t) -> t:float -> dt:float -> Vec.t -> Vec.t
 (** One classical Runge-Kutta step of size [dt]. *)
 
-val euler_step : f:(float -> Vec.t -> Vec.t) -> t:float -> dt:float -> Vec.t -> Vec.t
-
 val integrate :
-  ?method_:[ `Rk4 | `Euler ] ->
   ?post:(Vec.t -> Vec.t) ->
   f:(float -> Vec.t -> Vec.t) ->
   t0:float ->
@@ -23,10 +20,10 @@ val integrate :
   dt:float ->
   Vec.t ->
   trajectory
-(** Integrate from [t0] to [t1] (the last step is shortened to land on
-    [t1] exactly). [post] is applied to the state after every step —
-    the hook for projecting onto a constraint set. Raises
-    [Invalid_argument] on a non-positive [dt] or [t1 < t0]. *)
+(** Integrate from [t0] to [t1] in {!rk4_step} steps (the last step is
+    shortened to land on [t1] exactly). [post] is applied to the state
+    after every step — the hook for projecting onto a constraint set.
+    Raises [Invalid_argument] on a non-positive [dt] or [t1 < t0]. *)
 
 val final : trajectory -> Vec.t
 

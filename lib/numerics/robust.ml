@@ -67,7 +67,6 @@ type layer_handles = {
 
 let make_handles layer =
   let l = [ ("layer", layer) ] in
-  let with_op op = ("op", op) :: l in
   let attempt_of m =
     Obs.Metrics.counter ~labels:(("method", method_name m) :: l) "solver.attempts"
   in
@@ -99,9 +98,9 @@ let make_handles layer =
       | Out_of_domain _ -> out_of_domain
       | Not_converged _ -> not_converged);
     fallbacks_c = Obs.Metrics.counter ~labels:l "solver.fallbacks";
-    root_failures_c = Obs.Metrics.counter ~labels:(with_op "root") "solver.failures";
-    root_latency_h = Obs.Metrics.histogram ~labels:(with_op "root") "solver.latency";
-    root_evals_h = Obs.Metrics.histogram ~labels:(with_op "root") "solver.evaluations";
+    root_failures_c = Obs.Metrics.counter ~labels:l "solver.failures";
+    root_latency_h = Obs.Metrics.histogram ~labels:l "solver.latency";
+    root_evals_h = Obs.Metrics.histogram ~labels:l "solver.evaluations";
   }
 
 (* the handle cache is domain-local: each domain lazily rebuilds its

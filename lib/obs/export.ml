@@ -106,16 +106,15 @@ let metrics_table ?prefix () =
     (Metrics.snapshot ?prefix ());
   table
 
-(* the solver-focused end-of-run table: rows are (layer, op) pairs
-   discovered from the latency histograms Robust maintains *)
+(* the solver-focused end-of-run table: one row per layer, discovered
+   from the latency histograms Robust maintains *)
 let telemetry_table () =
   let snapshot = Metrics.snapshot ~prefix:"solver." () in
   let latencies =
     List.filter_map
       (function
         | ("solver.latency", labels, Metrics.Histogram s) when s.Metrics.count > 0 ->
-          Option.bind (Metrics.label labels "layer") (fun layer ->
-              Option.map (fun op -> (layer, op, s)) (Metrics.label labels "op"))
+          Option.map (fun layer -> (layer, s)) (Metrics.label labels "layer")
         | _ -> None)
       snapshot
   in
@@ -123,31 +122,23 @@ let telemetry_table () =
     Report.Table.make
       ~columns:
         [
-          "layer"; "op"; "calls"; "attempts"; "fallback rate"; "failures"; "evals";
-          "p50 ms"; "p99 ms";
+          "layer"; "calls"; "attempts"; "fallback rate"; "failures"; "evals"; "p50 ms";
+          "p99 ms";
         ]
   in
-  let counter name where =
-    Metrics.sum_counters ~where name
-  in
   List.iter
-    (fun (layer, op, (s : Metrics.summary)) ->
-      let in_layer labels = Metrics.label labels "layer" = Some layer in
-      let in_layer_op labels = in_layer labels && Metrics.label labels "op" = Some op in
-      let calls = counter "solver.root.calls" in_layer in
-      let attempts = counter "solver.attempts" in_layer in
-      let recoveries = counter "solver.fallbacks" in_layer in
-      let failures = counter "solver.failures" in_layer_op in
-      let evals = Metrics.sum_histograms ~where:in_layer_op "solver.evaluations" in
+    (fun (layer, (s : Metrics.summary)) ->
+      let where labels = Metrics.label labels "layer" = Some layer in
+      let calls = Metrics.sum_counters ~where "solver.root.calls" in
+      let recoveries = Metrics.sum_counters ~where "solver.fallbacks" in
       Report.Table.add_row table
         [
           layer;
-          op;
           fmt_g calls;
-          fmt_g attempts;
+          fmt_g (Metrics.sum_counters ~where "solver.attempts");
           (if calls > 0. then Printf.sprintf "%.3f" (recoveries /. calls) else "-");
-          fmt_g failures;
-          fmt_g evals;
+          fmt_g (Metrics.sum_counters ~where "solver.failures");
+          fmt_g (Metrics.sum_histograms ~where "solver.evaluations");
           Printf.sprintf "%.4g" (s.Metrics.p50 *. 1e3);
           Printf.sprintf "%.4g" (s.Metrics.p99 *. 1e3);
         ])

@@ -19,7 +19,7 @@ val metrics_table : ?prefix:string -> unit -> Report.Table.t
 (** Generic tabular rendering of the registry (for CSV export). *)
 
 val telemetry_table : unit -> Report.Table.t
-(** The end-of-run solver table: one row per (layer, op) with call and
+(** The end-of-run solver table: one row per solver layer with call and
     attempt counts, fallback rate, failure count, total objective
     evaluations, and p50/p99 solve latency. Empty when no solver ran. *)
 

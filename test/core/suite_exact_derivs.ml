@@ -143,6 +143,24 @@ let test_marginal_utilities_d_primal () =
         (rel_close ~tol:1e-9 uk (Dual.v col.(k))))
     primal
 
+let test_jacobian_from_one_state () =
+  let g = game () in
+  let s = interior_profile g in
+  let n = Subsidy_game.dim g in
+  (* the column-by-column matrix: one Lemma-1 solve per column *)
+  let columns = Array.init n (fun j -> Subsidy_game.marginal_utilities_d g ~subsidies:s j) in
+  let by_column = Mat.init ~rows:n ~cols:n (fun k j -> Dual.d columns.(j).(k)) in
+  let root_calls () = (Numerics.Robust.stats ()).Numerics.Robust.root_calls in
+  let before = root_calls () in
+  let exact = Subsidy_game.marginal_jacobian_exact g ~subsidies:s in
+  Alcotest.(check int) "one Lemma-1 root call" 1 (root_calls () - before);
+  check_true "equals the column-by-column matrix" (Mat.approx_equal ~tol:1e-12 by_column exact);
+  let state = Subsidy_game.state g ~subsidies:s in
+  let before = root_calls () in
+  let reused = Subsidy_game.marginal_jacobian_exact ~state g ~subsidies:s in
+  Alcotest.(check int) "none with the state in hand" 0 (root_calls () - before);
+  check_true "same matrix from the caller's state" (Mat.approx_equal ~tol:1e-12 exact reused)
+
 let test_nash_agrees_across_modes () =
   (* the end-to-end pin: the fused Newton respond and the grid-scan
      respond must find the same equilibrium *)
@@ -166,5 +184,6 @@ let suite =
       quick "fused marginal pins" test_fused_marginal_pins;
       quick "duopoly fused marginal pins" test_duopoly_fused_marginal_pins;
       quick "marginal_utilities_d primal" test_marginal_utilities_d_primal;
+      quick "jacobian from one state" test_jacobian_from_one_state;
       quick "nash agrees across modes" test_nash_agrees_across_modes;
     ] )

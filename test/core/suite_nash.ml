@@ -110,6 +110,85 @@ let prop_corollary1_revenue_monotone_in_cap =
       in
       r_at 0.6 >= r_at 0.3 -. 1e-6)
 
+(* A market whose CPs each draw a demand family, a throughput family
+   and their parameters from their own Rng.split_n stream; the
+   utilization family and the capacity come from the parent stream. *)
+let family_market seed =
+  let rng = Rng.create (Int64.of_int seed) in
+  let n = 2 + Rng.int rng 5 in
+  let cp r =
+    let demand =
+      match Rng.int r 3 with
+      | 0 -> Econ.Demand.exponential ~alpha:(Rng.uniform r ~lo:1. ~hi:5.) ()
+      | 1 -> Econ.Demand.isoelastic ~alpha:(Rng.uniform r ~lo:1. ~hi:3.) ()
+      | _ ->
+        Econ.Demand.logit
+          ~midpoint:(Rng.uniform r ~lo:0.2 ~hi:1.)
+          ~slope:(Rng.uniform r ~lo:1. ~hi:5.) ()
+    in
+    let throughput =
+      match Rng.int r 3 with
+      | 0 -> Econ.Throughput.exponential ~beta:(Rng.uniform r ~lo:0.5 ~hi:4.) ()
+      | 1 -> Econ.Throughput.isoelastic ~beta:(Rng.uniform r ~lo:0.5 ~hi:3.) ()
+      | _ -> Econ.Throughput.rational ~beta:(Rng.uniform r ~lo:0.5 ~hi:4.) ()
+    in
+    Econ.Cp.make ~demand ~throughput ~value:(Rng.uniform r ~lo:0.2 ~hi:1.5) ()
+  in
+  let cps = Array.map cp (Rng.split_n rng n) in
+  let utilization =
+    [| Econ.Utilization.linear; Econ.Utilization.power 1.7; Econ.Utilization.log_family |]
+    .(Rng.int rng 3)
+  in
+  System.make ~utilization ~cps ~capacity:(Rng.uniform rng ~lo:0.5 ~hi:3.) ()
+
+let prop_newton_corrector_agrees_with_best_response =
+  prop "newton corrector agrees with best response on family markets" ~count:200
+    QCheck2.Gen.(quad Fixtures.qcheck_seed (float_range 0.2 1.5) (float_range 0.1 1.5) int)
+    (fun (seed, p, q, noise) ->
+      let game = Subsidy_game.make (family_market seed) ~price:p ~cap:q in
+      let eq = Nash.solve game in
+      QCheck2.assume eq.Nash.converged;
+      (* a predictor off the equilibrium by up to 5% of the box *)
+      let rng = Rng.create (Int64.of_int noise) in
+      let x0 =
+        Vec.map (fun si -> si +. Rng.uniform rng ~lo:(-0.05 *. q) ~hi:(0.05 *. q)) eq.Nash.subsidies
+      in
+      let corrected = Nash.correct ~x0 game in
+      corrected.Nash.converged
+      && Vec.dist_inf corrected.Nash.subsidies eq.Nash.subsidies <= 1e-8
+      && corrected.Nash.kkt_residual <= 1e-9
+      && eq.Nash.kkt_residual <= 1e-9)
+
+let test_newton_falls_back () =
+  let game = paper_game ~price:0.3 ~cap:1.0 () in
+  let cold = Nash.solve game in
+  let fallbacks () = (Continuation.stats ()).Continuation.fallbacks in
+  List.iter
+    (fun (name, x0) ->
+      let before = fallbacks () in
+      let eq = Nash.correct ~x0 game in
+      check_close (name ^ ": handed to best response") (before +. 1.) (fallbacks ());
+      check_true (name ^ ": converged") eq.Nash.converged;
+      check_true (name ^ ": same equilibrium")
+        (Vec.dist_inf eq.Nash.subsidies cold.Nash.subsidies <= 1e-8))
+    [
+      (* far from the equilibrium the projection guesses the wrong
+         active set, and Newton stalls before its residual test *)
+      ("empty profile", Vec.zeros 8);
+      ("far corner", Vec.make 8 1.0);
+    ]
+
+let test_newton_counts_corrector_steps () =
+  let game = paper_game () in
+  let cold = Nash.solve game in
+  let iters () = (Continuation.stats ()).Continuation.corrector_iterations in
+  let before = iters () in
+  let eq = Nash.correct ~x0:(Vec.map (fun s -> 0.98 *. s) cold.Nash.subsidies) game in
+  check_true "converged" eq.Nash.converged;
+  check_true "a few newton steps" (eq.Nash.sweeps >= 1 && eq.Nash.sweeps <= 6);
+  check_close "steps on the corrector counter" (before +. float_of_int eq.Nash.sweeps) (iters ());
+  check_true "certified" (eq.Nash.kkt_residual <= 1e-9)
+
 let suite =
   ( "nash",
     [
@@ -122,6 +201,9 @@ let suite =
       quick "multistart unique" test_multistart_unique;
       quick "stability conditions" test_stability_conditions;
       quick "theorem 5" test_theorem5_value_monotonicity;
+      quick "newton falls back" test_newton_falls_back;
+      quick "newton counts corrector steps" test_newton_counts_corrector_steps;
       prop_nash_kkt_on_random_games;
+      prop_newton_corrector_agrees_with_best_response;
       prop_corollary1_revenue_monotone_in_cap;
     ] )

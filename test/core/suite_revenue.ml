@@ -53,7 +53,7 @@ let test_curve_warm_start_consistency () =
 
 let test_optimal_price () =
   let game = Subsidy_game.make (Fixtures.paper5 ()) ~price:0. ~cap:1.0 in
-  let p_star, r_star = Revenue.optimal_price ~p_max:2.5 game in
+  let p_star, _, r_star = Revenue.optimal_price ~p_max:2.5 game in
   check_in_range "interior optimum" ~lo:0.05 ~hi:2.45 p_star;
   (* dominates a coarse scan *)
   Array.iter
@@ -62,6 +62,31 @@ let test_optimal_price () =
       let r = Revenue.at_equilibrium g (Nash.solve g) in
       check_true "optimum dominates scan" (r_star >= r -. 1e-4))
     (Numerics.Grid.linspace 0.1 2.4 12)
+
+let test_optimal_price_matches_golden_search () =
+  (* the Theorem-7 root against a golden search on R itself, each R
+     from a cold best-response solve *)
+  List.iter
+    (fun cap ->
+      let game = Subsidy_game.make (Fixtures.paper5 ()) ~price:0. ~cap in
+      let p_star, eq, r_star = Revenue.optimal_price ~p_max:2.5 game in
+      let revenue_at p =
+        let g = Subsidy_game.with_price game p in
+        Revenue.at_equilibrium g (Nash.solve g)
+      in
+      let golden =
+        Numerics.Optimize.grid_then_golden ~points:49 ~tol:1e-7 revenue_at ~lo:0. ~hi:2.5
+      in
+      let name = Printf.sprintf "q=%g" cap in
+      check_close ~tol:1e-5 (name ^ ": p* = golden argmax") golden.Numerics.Optimize.x p_star;
+      check_close ~tol:1e-9 (name ^ ": R* = golden max") golden.Numerics.Optimize.fx r_star;
+      (* the equilibrium handed back is the one at p* *)
+      let cold = Nash.solve (Subsidy_game.with_price game p_star) in
+      check_true (name ^ ": equilibrium at p*")
+        (Numerics.Vec.dist_inf eq.Nash.subsidies cold.Nash.subsidies <= 1e-8);
+      check_close ~tol:1e-12 (name ^ ": R* = p* theta") (p_star *. eq.Nash.state.System.aggregate)
+        r_star)
+    [ 0.5; 1.0 ]
 
 let suite =
   ( "revenue",
@@ -72,4 +97,5 @@ let suite =
       quick "theorem 7 formula" test_theorem7_formula_vs_numeric;
       quick "curve warm start" test_curve_warm_start_consistency;
       quick "optimal price" test_optimal_price;
+      quick "optimal price matches golden search" test_optimal_price_matches_golden_search;
     ] )

@@ -8,16 +8,6 @@ let test_rk4_accuracy () =
   let traj = Ode.integrate ~f:decay ~t0:0. ~t1:1. ~dt:0.1 (Vec.of_list [ 1. ]) in
   check_close ~tol:1e-6 "e^-1" (exp (-1.)) (Ode.final traj).(0)
 
-let test_euler_less_accurate () =
-  let exact = exp (-1.) in
-  let rk4 = Ode.integrate ~f:decay ~t0:0. ~t1:1. ~dt:0.1 (Vec.of_list [ 1. ]) in
-  let euler =
-    Ode.integrate ~method_:`Euler ~f:decay ~t0:0. ~t1:1. ~dt:0.1 (Vec.of_list [ 1. ])
-  in
-  check_true "rk4 beats euler"
-    (Float.abs ((Ode.final rk4).(0) -. exact)
-    < Float.abs ((Ode.final euler).(0) -. exact))
-
 let test_trajectory_bookkeeping () =
   let traj = Ode.integrate ~f:decay ~t0:0. ~t1:0.35 ~dt:0.1 (Vec.of_list [ 1. ]) in
   Alcotest.(check int) "steps recorded" 5 (Array.length traj.Ode.times);
@@ -59,7 +49,6 @@ let suite =
   ( "ode",
     [
       quick "rk4 accuracy" test_rk4_accuracy;
-      quick "euler comparison" test_euler_less_accurate;
       quick "trajectory bookkeeping" test_trajectory_bookkeeping;
       quick "validation" test_validation;
       quick "post projection" test_post_projection;
