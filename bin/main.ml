@@ -477,6 +477,28 @@ let seed_arg =
   let doc = "Seed for the daemon's (or load generator's) deterministic Rng streams." in
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
 
+(* The daemon config [serve] and every [serve-fleet] shard start from:
+   queue and cache bounds, journal durability, watchdog limits (the
+   server's default unless a deadline or an evaluation budget is given),
+   the retry policy and the Rng seed. *)
+let daemon_config ~address ~queue ~cache ~durable ~deadline_s ~max_evals ~retries
+    ~backoff_s ~seed =
+  let base = Service.Server.default_config ~address in
+  let limits =
+    match (deadline_s, max_evals) with
+    | None, None -> base.Service.Server.limits
+    | _ -> Runner.Watchdog.limits ?deadline_s ?max_evals ()
+  in
+  {
+    base with
+    Service.Server.queue_capacity = queue;
+    cache_capacity = cache;
+    durable;
+    limits;
+    retry = Runner.Supervisor.retry ~max_attempts:(retries + 1) ~backoff_s ~jitter:0.5 ();
+    seed = Int64.of_int seed;
+  }
+
 let serve_cmd =
   let queue_arg =
     let doc = "Admission-queue bound; requests beyond it are shed with a typed answer." in
@@ -523,46 +545,27 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "allow-chaos" ] ~doc)
   in
-  let verbose_arg =
-    let doc = "Log per-batch and per-connection events (same as --log-level debug)." in
-    Arg.(value & flag & info [ "verbose" ] ~doc)
-  in
   let doc =
     "Run the solve daemon: Market_io JSON requests over a socket, admission \
      control, equilibrium caching with warm starts, watchdog limits and a \
      crash-safe request journal."
   in
   let run socket tcp host queue cache journal durable snapshot snapshot_every
-      compact_bytes allow_chaos verbose log_level log_json jobs deadline_s
-      max_evals retries backoff_s seed =
+      compact_bytes allow_chaos log_level log_json jobs deadline_s max_evals retries
+      backoff_s seed =
     apply_jobs jobs;
-    apply_logging
-      ~level:(if verbose then Obs.Log.Debug else log_level)
-      ~json:log_json;
+    apply_logging ~level:log_level ~json:log_json;
     let address = address_of ~socket ~tcp ~host in
-    let base = Service.Server.default_config ~address in
-    let limits =
-      match (deadline_s, max_evals) with
-      | None, None -> base.Service.Server.limits
-      | _ -> Runner.Watchdog.limits ?deadline_s ?max_evals ()
-    in
-    let retry =
-      Runner.Supervisor.retry ~max_attempts:(retries + 1) ~backoff_s ~jitter:0.5 ()
-    in
     let cfg =
       {
-        base with
-        Service.Server.queue_capacity = queue;
-        cache_capacity = cache;
-        journal_path = journal;
-        durable;
+        (daemon_config ~address ~queue ~cache ~durable ~deadline_s ~max_evals ~retries
+           ~backoff_s ~seed)
+        with
+        Service.Server.journal_path = journal;
         snapshot_path = snapshot;
         snapshot_every_s = (if snapshot_every > 0. then Some snapshot_every else None);
         journal_compact_bytes = (if compact_bytes > 0 then Some compact_bytes else None);
         allow_chaos;
-        limits;
-        retry;
-        seed = Int64.of_int seed;
       }
     in
     (* lifecycle, recovery and warning events reach stderr via the
@@ -577,7 +580,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ tcp_arg $ host_arg $ queue_arg $ cache_arg
       $ journal_arg $ durable_arg $ snapshot_arg $ snapshot_every_arg
-      $ compact_bytes_arg $ allow_chaos_arg $ verbose_arg $ log_level_arg
+      $ compact_bytes_arg $ allow_chaos_arg $ log_level_arg
       $ log_json_arg $ jobs_arg $ deadline_arg $ max_evals_arg $ retries_arg
       $ backoff_arg $ seed_arg)
 
@@ -645,23 +648,13 @@ let serve_fleet_cmd =
           Service.Server.Unix_path (Filename.concat dir (shard_name i ^ ".sock"))
         in
         let child_config i =
-          let base = Service.Server.default_config ~address:(address i) in
-          let limits =
-            match (deadline_s, max_evals) with
-            | None, None -> base.Service.Server.limits
-            | _ -> Runner.Watchdog.limits ?deadline_s ?max_evals ()
-          in
           {
-            base with
-            Service.Server.queue_capacity = queue;
-            cache_capacity = cache;
-            journal_path = Some (Filename.concat dir (shard_name i ^ ".journal"));
+            (daemon_config ~address:(address i) ~queue ~cache ~durable ~deadline_s
+               ~max_evals ~retries ~backoff_s ~seed)
+            with
+            Service.Server.journal_path =
+              Some (Filename.concat dir (shard_name i ^ ".journal"));
             snapshot_path = Some (Filename.concat dir (shard_name i ^ ".snapshot"));
-            durable;
-            limits;
-            retry =
-              Runner.Supervisor.retry ~max_attempts:(retries + 1) ~backoff_s
-                ~jitter:0.5 ();
             seed = Int64.of_int (seed + (1000 * i));
           }
         in

@@ -26,16 +26,3 @@ let () =
   print_newline ();
   print_endline "Competition disciplines prices without a regulator, and subsidization";
   print_endline "still raises both ISPs' revenue - the paper's Section-6 conjecture.";
-
-  (* contrast with the regulated-monopoly route to the same welfare *)
-  let sys = Scenario.fig7_11_system () in
-  let regulated = Regulator.optimal_policy_with_price_cap sys in
-  Printf.printf
-    "\nFor reference, a regulator facing the monopolist would pick q=%.1f with a\n\
-     price cap of %s (welfare %.4f): competition and price regulation are\n\
-     substitutes, as the paper suggests.\n"
-    regulated.Regulator.cap
-    (match regulated.Regulator.price_cap with
-    | Some c -> Printf.sprintf "%.2f" c
-    | None -> "none")
-    regulated.Regulator.welfare

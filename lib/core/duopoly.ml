@@ -41,8 +41,6 @@ let make ?(utilization = Econ.Utilization.linear) ?(eta = 4.) ~cps ~capacity_a
     phi_cache_b = 1.;
   }
 
-let cap d = d.cap
-
 let split_populations d ~prices ~subsidies =
   let pa, pb = prices in
   let n = Array.length d.cps in

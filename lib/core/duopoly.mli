@@ -42,8 +42,6 @@ val make :
     ISP. Raises [Invalid_argument] on non-positive capacities or
     [eta], a negative cap, or an empty CP array. *)
 
-val cap : t -> float
-
 val split_populations :
   t -> prices:float * float -> subsidies:Numerics.Vec.t -> Numerics.Vec.t * Numerics.Vec.t
 (** The logit population split, before any congestion effect. *)

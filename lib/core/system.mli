@@ -85,13 +85,6 @@ val solve_fixed_populations :
     a single primal solve. Callers must handle the [phi* = 0] market
     boundary themselves (the implicit function is kinked there). *)
 
-val gap_d : t -> Numerics.Dual.t array -> Numerics.Dual.t -> Numerics.Dual.t
-(** [gap_d sys populations phi]: the market gap with dual populations
-    and dual [phi]. *)
-
-val gap_d2 :
-  t -> Numerics.Dual.Order2.t array -> Numerics.Dual.Order2.t -> Numerics.Dual.Order2.t
-
 val gap_slope_d : t -> Numerics.Dual.t array -> Numerics.Dual.t -> Numerics.Dual.t
 (** The analytic [dg/dphi] expression in dual arithmetic (needed by
     sensitivity formulas that differentiate through the slope). *)

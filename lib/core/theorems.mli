@@ -54,26 +54,10 @@ val theorem5 : Subsidy_game.t -> cp:int -> delta:float -> check
 (** Raising [v_cp] by [delta] weakly raises CP [cp]'s equilibrium
     subsidy. *)
 
-val theorem6 : Subsidy_game.t -> Nash.equilibrium -> check list
-(** The sensitivity formulas (11)-(12) against finite differences of
-    re-solved equilibria. *)
-
 (** {2 Section 5: revenue and welfare} *)
 
 val theorem7 : Subsidy_game.t -> Nash.equilibrium -> check
 (** Marginal revenue: equation (13) against a numeric [dR/dp]. *)
-
-val corollary1 : System.t -> price:float -> caps:float array -> check list
-(** Along a fixed-price deregulation ladder: subsidies, utilization and
-    revenue are (weakly) nondecreasing, given the stability condition. *)
-
-val corollary2 : Subsidy_game.t -> Nash.equilibrium -> check
-(** The welfare condition's predicted sign against a numeric
-    [dW/dq]. *)
-
-val theorem8 : System.t -> price:float -> cap:float -> dp_dq:float -> check list
-(** The Theorem-8 state derivatives against finite differences with the
-    given ISP price response. *)
 
 (** {2 Suites} *)
 

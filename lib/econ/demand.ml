@@ -81,7 +81,6 @@ let derivative d t = d.df t
 let population_d d t = K_dual.population d.spec t
 let slope_d d t = K_dual.slope d.spec t
 let population_d2 d t = K_dual2.population d.spec t
-let slope_d2 d t = K_dual2.slope d.spec t
 
 let elasticity d t =
   let m = d.f t in

@@ -35,21 +35,6 @@ val isoelastic : ?m0:float -> ?scale:float -> alpha:float -> unit -> t
 
 val logit : ?m0:float -> ?midpoint:float -> slope:float -> unit -> t
 
-(** The family kernels over an arbitrary scalar field: the single
-    source of truth the float closures and the dual-number evaluators
-    share. [Kernel (Field.Float_s)] reproduces the legacy float
-    closures operation for operation. *)
-module Kernel (F : Numerics.Field.S) : sig
-  val softplus : F.t -> F.t
-  val sigmoid : F.t -> F.t
-
-  val population : spec -> F.t -> F.t
-  (** [m(t)] in the field [F]. *)
-
-  val slope : spec -> F.t -> F.t
-  (** [dm/dt] (the analytic derivative expression) in the field [F]. *)
-end
-
 val population : t -> float -> float
 (** [population d t = m(t)]. *)
 
@@ -63,7 +48,6 @@ val slope_d : t -> Numerics.Dual.t -> Numerics.Dual.t
 (** [dm/dt] on dual numbers — exact second derivatives of [m]. *)
 
 val population_d2 : t -> Numerics.Dual.Order2.t -> Numerics.Dual.Order2.t
-val slope_d2 : t -> Numerics.Dual.Order2.t -> Numerics.Dual.Order2.t
 
 val elasticity : t -> float -> float
 (** The t-elasticity [m'(t) * t / m(t)] (Definition 2). Negative for

@@ -79,10 +79,6 @@ let rate_d2 th phi =
   check_phi (Numerics.Dual.Order2.v phi);
   K_dual2.rate th.spec phi
 
-let slope_d2 th phi =
-  check_phi (Numerics.Dual.Order2.v phi);
-  K_dual2.slope th.spec phi
-
 let elasticity th phi =
   check_phi phi;
   let l = th.f phi in

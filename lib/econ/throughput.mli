@@ -28,14 +28,6 @@ val isoelastic : ?l0:float -> beta:float -> unit -> t
 
 val rational : ?l0:float -> beta:float -> unit -> t
 
-(** The family kernels over an arbitrary scalar field (see
-    {!Demand.Kernel}): [Kernel (Field.Float_s)] reproduces the legacy
-    float closures operation for operation. *)
-module Kernel (F : Numerics.Field.S) : sig
-  val rate : spec -> F.t -> F.t
-  val slope : spec -> F.t -> F.t
-end
-
 val rate : t -> float -> float
 (** [rate th phi = lambda(phi)]. Requires [phi >= 0]. *)
 
@@ -47,7 +39,6 @@ val rate_d : t -> Numerics.Dual.t -> Numerics.Dual.t
 
 val slope_d : t -> Numerics.Dual.t -> Numerics.Dual.t
 val rate_d2 : t -> Numerics.Dual.Order2.t -> Numerics.Dual.Order2.t
-val slope_d2 : t -> Numerics.Dual.Order2.t -> Numerics.Dual.Order2.t
 
 val elasticity : t -> float -> float
 (** The phi-elasticity [lambda'(phi) * phi / lambda(phi)]

@@ -10,8 +10,6 @@ let make spec =
       invalid_arg (Printf.sprintf "Utilization: power exponent must be positive, got %g" k));
   { spec }
 
-let spec u = u.spec
-
 let linear = make Linear
 let power k = make (Power k)
 let log_family = make Log

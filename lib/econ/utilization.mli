@@ -7,25 +7,17 @@
     increasing in both arguments. The paper's evaluations use the linear
     family [theta / mu]. *)
 
-type spec =
-  | Linear  (** [Phi = theta / mu]: utilization as load per capacity. *)
-  | Power of float
-      (** [Phi = (theta / mu) ** k] for [k > 0]: convex ([k > 1]) or
-          concave ([k < 1]) congestion onset. *)
-  | Log  (** [Phi = log (1 + theta / mu)]: diminishing marginal
-             congestion. *)
-
 type t
 
-val make : spec -> t
-
-val spec : t -> spec
-
 val linear : t
+(** [Phi = theta / mu]: utilization as load per capacity. *)
 
 val power : float -> t
+(** [power k]: [Phi = (theta / mu) ** k] for [k > 0], a convex
+    ([k > 1]) or concave ([k < 1]) congestion onset. *)
 
 val log_family : t
+(** [Phi = log (1 + theta / mu)]: diminishing marginal congestion. *)
 
 val phi : t -> theta:float -> mu:float -> float
 (** Utilization at aggregate throughput [theta >= 0] and capacity
@@ -33,13 +25,6 @@ val phi : t -> theta:float -> mu:float -> float
 
 val theta_of : t -> phi:float -> mu:float -> float
 (** The implied throughput [Theta(phi, mu)] inverting [phi]. *)
-
-(** The supply-side kernel over an arbitrary scalar field; [phi] is the
-    field value, [mu] a float parameter. *)
-module Kernel (F : Numerics.Field.S) : sig
-  val theta_of : spec -> phi:F.t -> mu:float -> F.t
-  val dtheta_dphi : spec -> phi:F.t -> mu:float -> F.t
-end
 
 val theta_of_d : t -> phi:Numerics.Dual.t -> mu:float -> Numerics.Dual.t
 val theta_of_d2 : t -> phi:Numerics.Dual.Order2.t -> mu:float -> Numerics.Dual.Order2.t

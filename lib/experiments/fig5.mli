@@ -4,6 +4,3 @@
     insensitive, congestion-sensitive users) rise before falling. *)
 
 val experiment : Common.t
-
-val series : ?points:int -> unit -> Report.Series.t list
-(** One series per CP, named after the CP ("a1b1" ... "a5b5"). *)

@@ -5,8 +5,3 @@
     bulk of the range. *)
 
 val experiment : Common.t
-
-val revenue_series : ?points:int -> unit -> Report.Series.t list
-(** One revenue curve per policy level, named ["q=0"], ... *)
-
-val welfare_series : ?points:int -> unit -> Report.Series.t list

@@ -1,8 +1,7 @@
 (** Loading CP populations from CSV files.
 
     Format: a header `name,alpha,beta,value[,m0,l0]` followed by one row
-    per CP; all CPs use the paper's exponential families (exactly what
-    {!Econ.Calibrate} produces from market data).
+    per CP; all CPs use the paper's exponential families.
 
     Parsing is [Result]-typed: malformed input (bad header, short rows,
     unparsable or non-finite floats, out-of-domain parameters,

@@ -21,20 +21,6 @@ let is_p_matrix ?(tol = 0.) m =
   done;
   !ok
 
-let off_diagonal_bounded_above ~bound m =
-  let n = Mat.rows m in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if i <> j && Mat.get m i j > bound then ok := false
-    done
-  done;
-  !ok
-
-let is_m_matrix ?(tol = 0.) m =
-  require_square "is_m_matrix" m;
-  off_diagonal_bounded_above ~bound:tol m && is_p_matrix ~tol:0. m
-
 let is_off_diagonally_nonnegative ?(tol = 0.) m =
   require_square "is_off_diagonally_nonnegative" m;
   let n = Mat.rows m in
@@ -45,35 +31,3 @@ let is_off_diagonally_nonnegative ?(tol = 0.) m =
     done
   done;
   !ok
-
-let is_strictly_diagonally_dominant ?(tol = 0.) m =
-  require_square "is_strictly_diagonally_dominant" m;
-  let n = Mat.rows m in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let off = ref 0. in
-    for j = 0 to n - 1 do
-      if i <> j then off := !off +. Float.abs (Mat.get m i j)
-    done;
-    if Float.abs (Mat.get m i i) <= !off +. tol then ok := false
-  done;
-  !ok
-
-let is_positive_definite_symmetric_part ?(tol = 0.) m =
-  require_square "is_positive_definite_symmetric_part" m;
-  let sym = Mat.scale 0.5 (Mat.add m (Mat.transpose m)) in
-  let eigs = Eigen.symmetric_eigenvalues sym in
-  Array.for_all (fun e -> e > tol) eigs
-
-let inverse_nonnegative ?(tol = 0.) m =
-  require_square "inverse_nonnegative" m;
-  match Linalg.inverse m with
-  | inv ->
-    let ok = ref true in
-    for i = 0 to Mat.rows inv - 1 do
-      for j = 0 to Mat.cols inv - 1 do
-        if Mat.get inv i j < -.tol then ok := false
-      done
-    done;
-    !ok
-  | exception Linalg.Singular -> false

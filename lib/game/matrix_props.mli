@@ -10,23 +10,6 @@ val is_p_matrix : ?tol:float -> Numerics.Mat.t -> bool
     default 0). Exponential in the dimension; fine for the game sizes
     here (n <= ~15). Raises [Invalid_argument] beyond dimension 20. *)
 
-val is_m_matrix : ?tol:float -> Numerics.Mat.t -> bool
-(** P-matrix with off-diagonal entries [<= tol]. *)
-
 val is_off_diagonally_nonnegative : ?tol:float -> Numerics.Mat.t -> bool
 (** All off-diagonal entries [>= -tol]: the paper's "off-diagonally
     monotone" condition on [grad u] (so that [-grad u] is Leontief). *)
-
-val is_strictly_diagonally_dominant : ?tol:float -> Numerics.Mat.t -> bool
-(** Rows satisfy [|a_ii| > sum_{j<>i} |a_ij| + tol]; a cheap sufficient
-    condition for the P-property when diagonals are positive. *)
-
-val is_positive_definite_symmetric_part : ?tol:float -> Numerics.Mat.t -> bool
-(** Whether [(A + A^T) / 2] is positive definite (all eigenvalues above
-    [tol]); sufficient for the P-property and for strong monotonicity of
-    the game map. *)
-
-val inverse_nonnegative : ?tol:float -> Numerics.Mat.t -> bool
-(** Whether [A^{-1}] has all entries [>= -tol]; characteristic of
-    M-matrices, used by the Corollary-1 sign argument. [false] when [A]
-    is singular. *)

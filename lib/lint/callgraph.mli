@@ -28,7 +28,6 @@ type t
 val build : project -> t
 
 val def_of : t -> node -> Index.def_info option
-val info_of : t -> string -> Index.file_info option
 
 val node_name : t -> node -> string
 (** Human name: ["Robust.root"]. *)

@@ -42,6 +42,3 @@ let compare a b =
     else
       let c = Int.compare a.col b.col in
       if c <> 0 then c else String.compare a.rule b.rule
-
-let to_string f =
-  Printf.sprintf "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.message

@@ -50,6 +50,3 @@ val at_file :
 val compare : t -> t -> int
 (** Order by file, then line, column and rule id — the order reports
     and baselines are emitted in. *)
-
-val to_string : t -> string
-(** ["file:line:col: [RULE] message"]. *)

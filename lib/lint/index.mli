@@ -93,11 +93,6 @@ type file_info = {
 val empty : path:string -> module_name:string -> file_info
 val module_name_of_path : string -> string
 
-val mutex_of_note : string -> string option
-(** The first [[ident]] bracket (lowercase first letter) in a sync
-    note, e.g. ["guarded by [lock]"] -> [Some "lock"]. [None] when the
-    note documents a non-mutex discipline (domain-locality, ...). *)
-
 val of_implementation : path:string -> Parsetree.structure -> file_info
 (** Extract every fact except [syntactic] and [parse_error]. *)
 

@@ -61,12 +61,6 @@ val applies : t -> string -> bool
 (** Does the rule cover this repo-relative path? True when some
     [applies_to] prefix matches and no [exempt] prefix does. *)
 
-val allowed_exceptions : string list
-(** Constructor names (last component) that NO-BARE-RAISE accepts in a
-    [raise]: the typed solver taxonomy of DESIGN §8 ([Solver_error],
-    [No_convergence], [No_bracket], [Budget_exceeded], [Poison]).
-    Re-raising a caught exception variable is also always allowed. *)
-
 val check_structure : file:string -> Parsetree.structure -> Finding.t list
 (** Run every expression-level rule whose scope covers [file] over a
     parsed implementation; findings come back in source order. *)

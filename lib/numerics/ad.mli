@@ -24,11 +24,6 @@ val gradient : (Dual.t array -> Dual.t) -> Vec.t -> Vec.t
 val jacobian : (Dual.t array -> Dual.t array) -> Vec.t -> Mat.t
 (** Row [i], column [j] holds [df_i/dx_j]; one pass per column. *)
 
-val seeded : Vec.t -> int -> Dual.t array
-(** [seeded x j] lifts [x] with coordinate [j] as the seed variable —
-    the building block for hand-rolled column passes (counts one AD
-    pass). *)
-
 val record_pass : unit -> unit
 (** Tick [numerics.deriv.ad] for a hand-rolled seeded pass (the
     System/game layers evaluate dual kernels directly instead of going

@@ -4,9 +4,6 @@
     defaults balance truncation against round-off for double precision
     ([h ~ eps^(1/3)] for central differences). *)
 
-val default_step : float -> float
-(** The relative central-difference step used at a point. *)
-
 val central : ?h:float -> (float -> float) -> float -> float
 (** First derivative by central difference. *)
 

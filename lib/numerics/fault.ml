@@ -13,14 +13,6 @@ type injected = {
   triggered : unit -> int;
 }
 
-let describe = function
-  | Nan_region { lo; hi } -> Printf.sprintf "nan on [%g, %g]" lo hi
-  | Nan_after n -> Printf.sprintf "nan after %d evaluations" n
-  | Spike { at; width; height } ->
-    Printf.sprintf "spike of %g at %g (width %g)" height at width
-  | Budget n -> Printf.sprintf "budget of %d evaluations" n
-  | Plateau { lo; hi; level } -> Printf.sprintf "plateau %g on [%g, %g]" level lo hi
-
 (* one evaluation through [mode], charging the supplied counters; the
    shared core of per-objective [inject] and the process-global hook.
    [bump] counts the evaluation and returns the total so far, [fired]

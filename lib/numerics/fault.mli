@@ -30,8 +30,6 @@ type injected = {
 
 val inject : mode -> (float -> float) -> injected
 
-val describe : mode -> string
-
 (** {2 Process-global injection}
 
     The chaos harness ([Runner.Chaos]) needs to disturb experiments it

@@ -9,18 +9,6 @@ exception Singular
 (** Raised when a factorization or solve meets a (numerically) singular
     matrix. *)
 
-type lu
-(** An LU factorization [P A = L U] of a square matrix. *)
-
-val lu_decompose : Mat.t -> lu
-(** Factorize a square matrix. Raises [Singular] if a pivot vanishes and
-    [Invalid_argument] if the matrix is not square. *)
-
-val lu_solve : lu -> Vec.t -> Vec.t
-(** Solve [A x = b] given a factorization of [A]. *)
-
-val lu_det : lu -> float
-
 val solve : Mat.t -> Vec.t -> Vec.t
 (** [solve a b] solves [a x = b]. Raises [Singular]. *)
 

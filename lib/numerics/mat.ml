@@ -124,15 +124,3 @@ let is_square m = m.rows = m.cols
 let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= tol) a.data b.data
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "|";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt " %10.6g" (get m i j)
-    done;
-    Format.fprintf fmt " |";
-    if i < m.rows - 1 then Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

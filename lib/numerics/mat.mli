@@ -39,8 +39,6 @@ val row : t -> int -> Vec.t
 
 val col : t -> int -> Vec.t
 
-val map : (float -> float) -> t -> t
-
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -66,5 +64,3 @@ val submatrix : t -> row_idx:int array -> col_idx:int array -> t
 val is_square : t -> bool
 
 val approx_equal : ?tol:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -9,9 +9,6 @@ type trajectory = {
   states : Vec.t array;  (** [states.(k)] at [times.(k)]; includes the start *)
 }
 
-val rk4_step : f:(float -> Vec.t -> Vec.t) -> t:float -> dt:float -> Vec.t -> Vec.t
-(** One classical Runge-Kutta step of size [dt]. *)
-
 val integrate :
   ?post:(Vec.t -> Vec.t) ->
   f:(float -> Vec.t -> Vec.t) ->
@@ -20,9 +17,10 @@ val integrate :
   dt:float ->
   Vec.t ->
   trajectory
-(** Integrate from [t0] to [t1] in {!rk4_step} steps (the last step is
-    shortened to land on [t1] exactly). [post] is applied to the state
-    after every step — the hook for projecting onto a constraint set.
+(** Integrate from [t0] to [t1] in classical Runge-Kutta steps of size
+    [dt] (the last step is shortened to land on [t1] exactly). [post] is
+    applied to the state after every step — the hook for projecting onto
+    a constraint set.
     Raises [Invalid_argument] on a non-positive [dt] or [t1 < t0]. *)
 
 val final : trajectory -> Vec.t

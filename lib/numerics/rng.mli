@@ -19,9 +19,6 @@ val split_n : t -> int -> t array
     draws independent of evaluation order — the mechanism that keeps
     parallel sweeps bit-identical at any [--jobs] value. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 

@@ -20,8 +20,6 @@
 
 type method_ = Newton | Secant | Brent | Bisection
 
-val method_name : method_ -> string
-
 (** Failure taxonomy: what stopped a particular solver attempt. *)
 type failure =
   | Non_finite of { at : float; value : float }
@@ -33,8 +31,6 @@ type failure =
   | Out_of_domain of { root : float }
       (** the method converged, but outside the admissible domain *)
   | Not_converged of { detail : string }
-
-val failure_message : failure -> string
 
 type attempt = {
   method_ : method_;

@@ -88,8 +88,3 @@ let summarize xs =
     p75 = quantile xs 0.75;
     max = maximum xs;
   }
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%g sd=%g min=%g p25=%g med=%g p75=%g max=%g"
-    s.n s.mean s.stddev s.min s.p25 s.median s.p75 s.max

@@ -21,7 +21,6 @@ let check_dims name x y =
                    (Array.length x) (Array.length y))
 
 let map = Array.map
-let mapi = Array.mapi
 
 let map2 f x y =
   check_dims "map2" x y;
@@ -92,10 +91,3 @@ let clamp ~lo ~hi x =
 
 let approx_equal ?(tol = 1e-9) x y =
   Array.length x = Array.length y && dist_inf x y <= tol
-
-let pp fmt x =
-  Format.fprintf fmt "[@[%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ")
-       (fun fmt v -> Format.fprintf fmt "%g" v))
-    (to_list x)

@@ -29,10 +29,6 @@ val basis : int -> int -> t
 
 val map : (float -> float) -> t -> t
 
-val mapi : (int -> float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -74,5 +70,3 @@ val clamp : lo:float -> hi:float -> t -> t
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Sup-norm comparison, default [tol = 1e-9]. *)
-
-val pp : Format.formatter -> t -> unit

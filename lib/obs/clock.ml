@@ -11,6 +11,4 @@ let rec now () =
 
 let elapsed ~since = Float.max 0. (now () -. since)
 
-let cpu () = Sys.time ()
-
 let us_of_s s = s *. 1e6

@@ -12,8 +12,5 @@ val now : unit -> float
 val elapsed : since:float -> float
 (** [now () -. since], clamped to be non-negative. *)
 
-val cpu : unit -> float
-(** Processor seconds consumed by the program ([Sys.time]). *)
-
 val us_of_s : float -> float
 (** Seconds -> microseconds (the unit Chrome trace_event uses). *)

@@ -80,32 +80,6 @@ let trace_json () : Json.t =
 
 let fmt_g x = Printf.sprintf "%.6g" x
 
-let metrics_table ?prefix () =
-  let table =
-    Report.Table.make ~columns:[ "name"; "labels"; "kind"; "value"; "count"; "p50"; "p99" ]
-  in
-  List.iter
-    (fun (name, labels, read) ->
-      let labels = Metrics.labels_to_string labels in
-      match (read : Metrics.read) with
-      | Metrics.Counter v ->
-        Report.Table.add_row table [ name; labels; "counter"; fmt_g v; "-"; "-"; "-" ]
-      | Metrics.Gauge v ->
-        Report.Table.add_row table [ name; labels; "gauge"; fmt_g v; "-"; "-"; "-" ]
-      | Metrics.Histogram s ->
-        Report.Table.add_row table
-          [
-            name;
-            labels;
-            "histogram";
-            fmt_g s.Metrics.sum;
-            string_of_int s.Metrics.count;
-            fmt_g s.Metrics.p50;
-            fmt_g s.Metrics.p99;
-          ])
-    (Metrics.snapshot ?prefix ());
-  table
-
 (* the solver-focused end-of-run table: one row per layer, discovered
    from the latency histograms Robust maintains *)
 let telemetry_table () =

@@ -15,9 +15,6 @@ val trace_json : unit -> Json.t
     timestamps in microseconds relative to the first span, parent links
     and attributes under [args]. *)
 
-val metrics_table : ?prefix:string -> unit -> Report.Table.t
-(** Generic tabular rendering of the registry (for CSV export). *)
-
 val telemetry_table : unit -> Report.Table.t
 (** The end-of-run solver table: one row per solver layer with call and
     attempt counts, fallback rate, failure count, total objective

@@ -17,9 +17,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-(** ["debug" | "info" | "warn" | "error"]. *)
-
 val level_of_name : string -> (level, string) result
 (** Case-insensitive parse; accepts ["warning"] for [Warn]. *)
 
@@ -56,8 +53,6 @@ val set_rate_limit : ?min_interval_s:float -> unit -> unit
 
 val enabled : m:string -> level -> bool
 (** Would an event at this level for this module be emitted? *)
-
-val log : ?fields:(string * string) list -> level -> m:string -> string -> unit
 
 val debug : ?fields:(string * string) list -> m:string -> string -> unit
 val info : ?fields:(string * string) list -> m:string -> string -> unit

@@ -236,7 +236,6 @@ let gauge ?(labels = []) name : gauge =
     (fun s -> match s.cell with G r -> Some r | _ -> None)
 
 let set (g : gauge) v = locked (fun () -> g := v)
-let gauge_value (g : gauge) = locked (fun () -> !g)
 
 let histogram ?(labels = []) name : histogram =
   register name labels

@@ -47,7 +47,6 @@ val counter_value : counter -> float
 
 val gauge : ?labels:labels -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : ?labels:labels -> string -> histogram
 

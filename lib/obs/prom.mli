@@ -18,14 +18,5 @@ val expose : ?prefix:string -> unit -> string
 (** Render every registry series whose name starts with [prefix]
     (default: the whole registry). *)
 
-val render_snapshot :
-  (string * Metrics.labels * Metrics.read) list -> string
-(** Render an explicit snapshot (as returned by {!Metrics.snapshot});
-    entries must be sorted by name for [# TYPE] grouping to hold. *)
-
 val sanitize_name : string -> string
 val escape_label_value : string -> string
-
-val format_value : float -> string
-(** Integral floats print without a decimal point; [NaN]/[+Inf]/[-Inf]
-    use Prometheus spellings; everything else round-trips at [%.17g]. *)

@@ -33,8 +33,6 @@ let to_string t =
   let rule = String.make (String.length header) '-' in
   String.concat "\n" (header :: rule :: List.map render_row (List.tl all))
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let csv_escape cell =
   let needs_quoting =
     String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') cell

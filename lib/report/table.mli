@@ -21,7 +21,5 @@ val rows : t -> string list list
 val to_string : t -> string
 (** Render with a header rule and right-padded cells. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_csv_string : t -> string
 (** RFC-4180-style CSV (quoted when needed), header included. *)

@@ -48,9 +48,6 @@ type entry = {
 
 type t
 
-val schema : string
-(** ["run.v1"] *)
-
 val empty : unit -> t
 (** A fresh manifest stamped with the current {!Obs.Clock} time. *)
 

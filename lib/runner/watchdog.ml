@@ -29,17 +29,6 @@ let limits ?deadline_s ?max_evals () =
   | _ -> ());
   { deadline_s; max_evals }
 
-let describe = function
-  | { deadline_s = None; max_evals = None } -> "unlimited"
-  | { deadline_s; max_evals } ->
-    String.concat ", "
-      (List.filter_map
-         (fun x -> x)
-         [
-           Option.map (fun d -> Printf.sprintf "deadline %gs" d) deadline_s;
-           Option.map (fun n -> Printf.sprintf "budget %d evals" n) max_evals;
-         ])
-
 let guard lims f =
   match lims with
   | { deadline_s = None; max_evals = None } -> f ()

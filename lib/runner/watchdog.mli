@@ -29,9 +29,6 @@ val limits : ?deadline_s:float -> ?max_evals:int -> unit -> limits
 (** Raises [Invalid_argument] for a non-positive or non-finite
     deadline, or a non-positive budget. *)
 
-val describe : limits -> string
-(** ["deadline 5s, budget 10000 evals"], ["unlimited"], ... *)
-
 val guard : limits -> (unit -> 'a) -> 'a
 (** Run the thunk under the limits: the elapsed clock starts now, the
     evaluation counter starts at zero, and the probe is uninstalled on

@@ -21,8 +21,6 @@ type t = {
   mutable alive : bool;
 }
 
-let endpoint t = t.endpoint
-
 let is_alive t = t.alive
 
 let connect ?netfault address =

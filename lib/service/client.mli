@@ -31,9 +31,6 @@ val connect : ?netfault:Netfault.t -> Server.address -> (t, error) result
     sockets as a matter of course, and those writes must surface as
     [Conn_closed], not kill the process. *)
 
-val endpoint : t -> string
-(** The {!Server.address_to_string} form this connection dialed. *)
-
 val is_alive : t -> bool
 (** [false] once the transport has failed (or a torn write was
     injected); subsequent sends fail fast with [Conn_closed]. *)

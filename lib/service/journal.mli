@@ -19,9 +19,6 @@ type t
 
 type kind = Solved | Degraded | Shed
 
-val kind_name : kind -> string
-val kind_of_name : string -> kind option
-
 val open_ : ?durable:bool -> path:string -> unit -> (t, string) result
 (** Open for appending, creating the file (and syncing its directory
     entry when [durable]) if needed. *)

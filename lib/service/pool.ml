@@ -107,8 +107,6 @@ let create ?netfault ?(config = default_config) ring =
     retries_c = Obs.Metrics.counter "service.pool.retries";
   }
 
-let ring t = t.ring
-
 let member_of t (s : Shard.shard) = List.assoc s.Shard.name t.members
 
 let set_breaker m b =

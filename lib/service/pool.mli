@@ -47,8 +47,6 @@ type t
 
 val create : ?netfault:Netfault.t -> ?config:config -> Shard.t -> t
 
-val ring : t -> Shard.t
-
 type answer = {
   solved : Proto.solved;
   shard : string;  (** the shard that answered *)

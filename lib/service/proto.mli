@@ -55,8 +55,6 @@ type cache_source =
   | Warm  (** solved, seeded from a cached neighbour's equilibrium *)
   | Cold  (** solved from the zero profile *)
 
-val cache_source_name : cache_source -> string
-
 type solved = {
   subsidies : float array;
   phi : float;
@@ -98,9 +96,6 @@ val chaos_mode_name : Numerics.Fault.mode -> string
 val chaos_mode_of_name : string -> (Numerics.Fault.mode option, string) result
 
 (** {2 Markets} *)
-
-val market_to_json : market -> Obs.Json.t
-val market_of_json : Obs.Json.t -> (market, string) result
 
 (** {2 Solved results}
 

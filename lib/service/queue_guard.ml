@@ -18,7 +18,6 @@ let create ~capacity =
   }
 
 let depth t = Queue.length t.q
-let capacity t = t.limit
 let shed_count t = t.shed
 
 let admit t item =

@@ -24,5 +24,4 @@ val take : ?max:int -> 'a t -> 'a list
 (** Dequeue up to [max] items (default: everything), FIFO. *)
 
 val depth : 'a t -> int
-val capacity : 'a t -> int
 val shed_count : 'a t -> int

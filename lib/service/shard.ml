@@ -1,7 +1,5 @@
 type health = Up | Suspect | Down
 
-let health_name = function Up -> "up" | Suspect -> "suspect" | Down -> "down"
-
 (* 0 = up, 1 = suspect, 2 = down: a gauge the Prometheus path can alert
    on without string parsing. *)
 let health_rank = function Up -> 0. | Suspect -> 1. | Down -> 2.

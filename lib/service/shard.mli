@@ -20,8 +20,6 @@
 
 type health = Up | Suspect | Down
 
-val health_name : health -> string
-
 type shard = {
   name : string;
   address : Server.address;

@@ -15,7 +15,6 @@ let () =
       Suite_theorems.suite;
       Suite_dynamics.suite;
       Suite_duopoly.suite;
-      Suite_regulator.suite;
       Suite_longrun.suite;
       Suite_edge.suite;
     ]

@@ -32,25 +32,8 @@ let test_cp_scale () =
     (Econ.Cp.throughput_at c ~charge:0.4 ~phi:0.6)
     (Econ.Cp.throughput_at s ~charge:0.4 ~phi:0.6)
 
-let test_isp () =
-  let isp = Econ.Isp.make ~capacity:2. ~price:0.5 () in
-  check_close "revenue" 1.5 (Econ.Isp.revenue isp ~aggregate_throughput:3.);
-  check_close "profit no cost" 1.5 (Econ.Isp.profit isp ~aggregate_throughput:3.);
-  let costly = Econ.Isp.make ~capacity_cost:0.25 ~capacity:2. ~price:0.5 () in
-  check_close "profit with cost" 1. (Econ.Isp.profit costly ~aggregate_throughput:3.);
-  check_close "with_price" 0.9 (Econ.Isp.with_price isp 0.9).Econ.Isp.price;
-  check_close "with_capacity" 5. (Econ.Isp.with_capacity isp 5.).Econ.Isp.capacity;
-  check_raises_invalid "bad capacity" (fun () ->
-      Econ.Isp.make ~capacity:0. ~price:1. () |> ignore);
-  check_raises_invalid "negative price" (fun () ->
-      Econ.Isp.make ~capacity:1. ~price:(-1.) () |> ignore)
-
 let test_pp () =
-  check_true "cp pp" (String.length (Format.asprintf "%a" Econ.Cp.pp (cp ())) > 0);
-  check_true "isp pp"
-    (String.length
-       (Format.asprintf "%a" Econ.Isp.pp (Econ.Isp.make ~capacity:1. ~price:0.1 ()))
-    > 0)
+  check_true "cp pp" (String.length (Format.asprintf "%a" Econ.Cp.pp (cp ())) > 0)
 
 let suite =
   ( "cp-isp",
@@ -59,6 +42,5 @@ let suite =
       quick "cp accessors" test_cp_accessors;
       quick "cp default name" test_cp_default_name;
       quick "cp lemma-2 scale" test_cp_scale;
-      quick "isp" test_isp;
       quick "pretty printers" test_pp;
     ] )

@@ -79,9 +79,8 @@ let prop_elasticity_matches_numeric =
     QCheck2.Gen.(pair (float_range 0.5 4.) (float_range 0.1 2.))
     (fun (alpha, t) ->
       let d = Econ.Demand.isoelastic ~alpha () in
-      let numeric =
-        Econ.Elasticity.numeric (Econ.Demand.population d) t
-      in
+      let m = Econ.Demand.population d in
+      let numeric = Numerics.Diff.central m t *. t /. m t in
       Float.abs (Econ.Demand.elasticity d t -. numeric) < 1e-4)
 
 let suite =

@@ -4,9 +4,7 @@ let () =
       Suite_demand.suite;
       Suite_throughput.suite;
       Suite_utilization.suite;
-      Suite_elasticity.suite;
       Suite_cp_isp.suite;
       Suite_aggregate.suite;
-      Suite_calibrate.suite;
       Suite_ad.suite;
     ]

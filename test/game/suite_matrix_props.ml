@@ -19,36 +19,9 @@ let test_nonsymmetric_p () =
   let a = Mat.of_rows [| [| 1.; -2. |]; [| 0.5; 1. |] |] in
   check_true "nonsymmetric P" (Matrix_props.is_p_matrix a)
 
-let test_m_matrix () =
-  check_true "M-matrix" (Matrix_props.is_m_matrix m_matrix);
-  check_true "positive off-diagonal is not M" (not (Matrix_props.is_m_matrix p_not_m));
-  check_true "non-P is not M" (not (Matrix_props.is_m_matrix not_p))
-
 let test_off_diagonal () =
   check_true "nonneg off-diag" (Matrix_props.is_off_diagonally_nonnegative p_not_m);
   check_true "neg off-diag" (not (Matrix_props.is_off_diagonally_nonnegative m_matrix))
-
-let test_diagonal_dominance () =
-  check_true "dominant" (Matrix_props.is_strictly_diagonally_dominant m_matrix);
-  check_true "not dominant"
-    (not
-       (Matrix_props.is_strictly_diagonally_dominant
-          (Mat.of_rows [| [| 1.; 2. |]; [| 0.; 1. |] |])))
-
-let test_spd_part () =
-  check_true "spd part of M-matrix" (Matrix_props.is_positive_definite_symmetric_part m_matrix);
-  check_true "indefinite fails" (not (Matrix_props.is_positive_definite_symmetric_part not_p));
-  (* strongly skewed but positive definite symmetric part *)
-  let skew = Mat.of_rows [| [| 1.; 10. |]; [| -10.; 1. |] |] in
-  check_true "skew-heavy still spd-part" (Matrix_props.is_positive_definite_symmetric_part skew)
-
-let test_inverse_nonnegative () =
-  (* hallmark of M-matrices: nonnegative inverse *)
-  check_true "M-matrix inverse >= 0" (Matrix_props.inverse_nonnegative m_matrix);
-  check_true "not for this P-matrix"
-    (not (Matrix_props.inverse_nonnegative p_not_m));
-  check_true "singular is false"
-    (not (Matrix_props.inverse_nonnegative (Mat.of_rows [| [| 1.; 1. |]; [| 1.; 1. |] |])))
 
 let prop_diag_dominant_positive_is_p =
   prop "diagonally dominant matrices with positive diagonal are P" ~count:60 rng_gen
@@ -61,25 +34,11 @@ let prop_diag_dominant_positive_is_p =
       in
       Matrix_props.is_p_matrix a)
 
-let prop_m_matrix_inverse_nonnegative =
-  prop "random M-matrices have nonnegative inverses" ~count:60 rng_gen (fun rng ->
-      let n = 2 + Rng.int rng 4 in
-      let a =
-        Mat.init ~rows:n ~cols:n (fun i j ->
-            if i = j then float_of_int n +. 1. else -.Rng.float rng)
-      in
-      (not (Matrix_props.is_m_matrix a)) || Matrix_props.inverse_nonnegative ~tol:1e-12 a)
-
 let suite =
   ( "matrix-props",
     [
       quick "P-matrix" test_p_matrix;
       quick "nonsymmetric P" test_nonsymmetric_p;
-      quick "M-matrix" test_m_matrix;
       quick "off-diagonal" test_off_diagonal;
-      quick "diagonal dominance" test_diagonal_dominance;
-      quick "spd symmetric part" test_spd_part;
-      quick "inverse nonnegative" test_inverse_nonnegative;
       prop_diag_dominant_positive_is_p;
-      prop_m_matrix_inverse_nonnegative;
     ] )
