@@ -477,6 +477,20 @@ let seed_arg =
   let doc = "Seed for the daemon's (or load generator's) deterministic Rng streams." in
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
 
+(* options [serve] and [serve-fleet] share; under [serve-fleet] each
+   shard gets the bounds *)
+let queue_arg =
+  let doc = "Admission-queue bound; requests beyond it are shed with a typed answer." in
+  Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
+
+let cache_arg =
+  let doc = "Equilibrium-cache entries (LRU-bounded)." in
+  Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
+
+let durable_arg =
+  let doc = "fsync every journal append (power-loss durability; slower)." in
+  Arg.(value & flag & info [ "durable" ] ~doc)
+
 (* The daemon config [serve] and every [serve-fleet] shard start from:
    queue and cache bounds, journal durability, watchdog limits (the
    server's default unless a deadline or an evaluation budget is given),
@@ -500,24 +514,12 @@ let daemon_config ~address ~queue ~cache ~durable ~deadline_s ~max_evals ~retrie
   }
 
 let serve_cmd =
-  let queue_arg =
-    let doc = "Admission-queue bound; requests beyond it are shed with a typed answer." in
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let cache_arg =
-    let doc = "Equilibrium-cache entries (LRU-bounded)." in
-    Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
-  in
   let journal_arg =
     let doc =
       "Append a crash-safe request journal to $(docv); on restart, un-acked \
        requests are re-solved and acked requests are never answered twice."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
-  let durable_arg =
-    let doc = "fsync every journal append (power-loss durability; slower)." in
-    Arg.(value & flag & info [ "durable" ] ~doc)
   in
   let snapshot_arg =
     let doc =
@@ -611,23 +613,12 @@ let serve_fleet_cmd =
   in
   let restart_arg =
     let doc =
-      "Fork a replacement when a shard exits unexpectedly; journal replay plus \
-       the cache snapshot make the replacement pick up where the casualty left \
-       off."
+      "Fork a replacement when a shard crashes; journal replay plus the cache \
+       snapshot make the replacement pick up where the casualty left off. A \
+       shard that fails at startup (bind error, unrecoverable journal) is \
+       retired instead, and the command exits 1."
     in
     Arg.(value & flag & info [ "restart" ] ~doc)
-  in
-  let queue_arg =
-    let doc = "Per-shard admission-queue bound." in
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
-  in
-  let cache_arg =
-    let doc = "Per-shard equilibrium-cache entries (LRU-bounded)." in
-    Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
-  in
-  let durable_arg =
-    let doc = "fsync every journal append on every shard." in
-    Arg.(value & flag & info [ "durable" ] ~doc)
   in
   let doc =
     "Fork N solve-daemon shards (consistent-hash fleet): one Unix socket, \
@@ -635,116 +626,40 @@ let serve_fleet_cmd =
      manifest for fleet-aware clients, SIGTERM/SIGINT forwarded to every \
      shard, optional automatic restart of casualties."
   in
-  let shard_name i = Printf.sprintf "s%d" i in
   let run shards dir manifest_out restart queue cache durable log_level
       log_json jobs deadline_s max_evals retries backoff_s seed =
     apply_logging ~level:log_level ~json:log_json;
     if shards < 1 then log_error_exit2 ~m:"fleet" "--shards must be at least 1"
-    else begin
+    else
+      (* [layout] gives every shard its own address *)
+      let configs =
+        Service.Fleet.layout ~dir ~shards
+          (daemon_config ~address:(Service.Server.Unix_path dir) ~queue ~cache ~durable
+             ~deadline_s ~max_evals ~retries ~backoff_s ~seed)
+      in
       match Report.Fsio.mkdir_p dir with
       | Error msg -> log_error_exit2 ~m:"fleet" ("cannot create --dir: " ^ msg)
       | Ok () ->
-        let address i =
-          Service.Server.Unix_path (Filename.concat dir (shard_name i ^ ".sock"))
-        in
-        let child_config i =
-          {
-            (daemon_config ~address:(address i) ~queue ~cache ~durable ~deadline_s
-               ~max_evals ~retries ~backoff_s ~seed)
-            with
-            Service.Server.journal_path =
-              Some (Filename.concat dir (shard_name i ^ ".journal"));
-            snapshot_path = Some (Filename.concat dir (shard_name i ^ ".snapshot"));
-            seed = Int64.of_int (seed + (1000 * i));
-          }
-        in
-        (* fork before any domain pool exists; each child sizes its own *)
-        let spawn i =
-          match Unix.fork () with
-          | 0 ->
-            apply_jobs jobs;
-            let code =
-              match Service.Server.run (child_config i) with
-              | Ok () -> 0
-              | Error msg ->
-                Obs.Log.error ~m:"fleet"
-                  (Printf.sprintf "%s: %s" (shard_name i) msg);
-                1
-            in
-            Stdlib.exit code
-          | pid -> pid
-        in
-        let pids = Array.init shards spawn in
-        let ring_shards =
-          List.init shards (fun i ->
-              {
-                Service.Shard.name = shard_name i;
-                address = address i;
-                health = Service.Shard.Up;
-                failures = 0;
-              })
-        in
-        let manifest_path =
-          match manifest_out with
-          | Some p -> p
-          | None -> Filename.concat dir "fleet.json"
-        in
-        (match Service.Shard.make ring_shards with
-        | Error msg -> log_error_exit2 ~m:"fleet" msg
-        | Ok ring ->
-          (match Service.Shard.save_manifest ~path:manifest_path ring with
+        let fleet = Service.Fleet.start ?jobs configs in
+        let manifest = Option.value manifest_out ~default:(Filename.concat dir "fleet.json") in
+        let manifest_error = ref None in
+        let ready () =
+          match Service.Fleet.publish ~manifest fleet with
+          | Ok up ->
+            Printf.printf "fleet: %d of %d shards up, manifest %s\n%!" up shards manifest
           | Error msg ->
-            log_error_exit2 ~m:"fleet" ("cannot write fleet manifest: " ^ msg)
-          | Ok () ->
-            Printf.printf "fleet: %d shards up, manifest %s\n%!" shards
-              manifest_path;
-            let stopping = ref false in
-            let forward _ =
-              stopping := true;
-              Array.iter
-                (fun pid ->
-                  if pid > 0 then
-                    try Unix.kill pid Sys.sigterm
-                    with Unix.Unix_error (_, _, _) -> ())
-                pids
-            in
-            let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle forward) in
-            let old_int = Sys.signal Sys.sigint (Sys.Signal_handle forward) in
-            let casualties = ref 0 in
-            let live = ref shards in
-            while !live > 0 do
-              match Unix.waitpid [] (-1) with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              | exception Unix.Unix_error (Unix.ECHILD, _, _) -> live := 0
-              | exception Unix.Unix_error (_, _, _) -> live := 0
-              | pid, status ->
-                let i = ref (-1) in
-                Array.iteri (fun k p -> if p = pid then i := k) pids;
-                if !i >= 0 then begin
-                  pids.(!i) <- 0;
-                  decr live;
-                  let clean =
-                    match status with Unix.WEXITED 0 -> true | _ -> false
-                  in
-                  if (not !stopping) && not clean then begin
-                    incr casualties;
-                    Obs.Log.warn ~m:"fleet"
-                      ~fields:[ ("shard", shard_name !i) ]
-                      (if restart then "shard died; restarting"
-                       else "shard died");
-                    if restart then begin
-                      pids.(!i) <- spawn !i;
-                      incr live
-                    end
-                  end
-                end
-            done;
-            Sys.set_signal Sys.sigterm old_term;
-            Sys.set_signal Sys.sigint old_int;
-            Printf.printf "fleet: drained (%d unexpected shard exits)\n"
-              !casualties;
-            if !stopping || !casualties = 0 || restart then 0 else 1))
-    end
+            manifest_error := Some msg;
+            List.iteri (fun i _ -> Service.Fleet.signal fleet i Sys.sigterm) configs
+        in
+        let { Service.Fleet.unexpected; retired; stopped } =
+          Service.Fleet.supervise ~ready ~restart fleet
+        in
+        match !manifest_error with
+        | Some msg -> log_error_exit2 ~m:"fleet" ("cannot write fleet manifest: " ^ msg)
+        | None ->
+          Printf.printf "fleet: drained (%d unexpected shard exits, %d retired)\n"
+            unexpected retired;
+          if retired > 0 then 1 else if stopped || unexpected = 0 || restart then 0 else 1
   in
   Cmd.v (Cmd.info "serve-fleet" ~doc)
     Term.(
@@ -753,26 +668,9 @@ let serve_fleet_cmd =
       $ jobs_arg $ deadline_arg $ max_evals_arg $ retries_arg $ backoff_arg
       $ seed_arg)
 
-(* numeric field lookup into an obs.metrics.v1 document:
-   [metrics_num json field name] is NaN when absent *)
-let metrics_num json =
-  let series =
-    match Obs.Json.member "series" json with
-    | Some (Obs.Json.Arr items) -> items
-    | _ -> []
-  in
-  let find name =
-    List.find_opt
-      (fun s ->
-        match Obs.Json.member "name" s with
-        | Some (Obs.Json.Str n) -> String.equal n name
-        | _ -> false)
-      series
-  in
-  fun field name ->
-    match Option.bind (find name) (Obs.Json.member field) with
-    | Some (Obs.Json.Num v) -> v
-    | _ -> Float.nan
+(* [metrics_num json field name] is NaN when the series is absent *)
+let metrics_num json field name =
+  Option.value ~default:Float.nan (Obs.Export.series_field json ~name field)
 
 (* pull one histogram's p99 and the cache counters out of the
    obs.metrics.v1 document for the end-of-run summary line *)

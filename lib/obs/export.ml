@@ -35,6 +35,14 @@ let metrics_json ?prefix () : Json.t =
       ("series", Json.Arr (List.map json_of_series (Metrics.snapshot ?prefix ())));
     ]
 
+let series_field json ~name field =
+  let named s = Json.member "name" s = Some (Json.Str name) in
+  match Option.bind (Json.member "series" json) Json.to_list with
+  | None -> None
+  | Some series ->
+    Option.bind (List.find_opt named series) (fun s ->
+        Option.bind (Json.member field s) Json.to_float)
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event *)
 

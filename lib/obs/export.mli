@@ -10,6 +10,12 @@ val metrics_json : ?prefix:string -> unit -> Json.t
     labels, kind and either [value] (counter/gauge) or
     count/sum/min/max/p50/p90/p99 plus non-empty buckets (histogram). *)
 
+val series_field : Json.t -> name:string -> string -> float option
+(** [series_field doc ~name field] reads one numeric field of the first
+    series called [name] in an [obs.metrics.v1] document: ["value"] of
+    a counter or gauge, ["count"], ["p99"], ... of a histogram. [None]
+    when the series or the field is absent. *)
+
 val trace_json : unit -> Json.t
 (** Chrome [trace_event] JSON: one complete ("ph":"X") event per span,
     timestamps in microseconds relative to the first span, parent links

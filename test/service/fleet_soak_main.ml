@@ -13,9 +13,10 @@
 module P = Service.Proto
 module Sv = Service.Server
 module Cl = Service.Client
-module Sh = Service.Shard
 module J = Service.Journal
 module Lg = Service.Loadgen
+module Fleet = Service.Fleet
+open Service_fixtures
 
 let requests =
   match
@@ -30,91 +31,30 @@ let failures : string list ref = ref []
 let fail fmt = Printf.ksprintf (fun msg -> failures := msg :: !failures) fmt
 let check msg cond = if not cond then fail "%s" msg
 
-let fresh_path suffix =
-  let path = Filename.temp_file "fleet" suffix in
-  Sys.remove path;
-  path
+let dir = Filename.temp_dir "fleet" ""
 
-let sockets = Array.init shards (fun _ -> fresh_path ".sock")
-let journals = Array.init shards (fun _ -> fresh_path ".journal")
-let snapshots = Array.init shards (fun _ -> fresh_path ".snapshot")
+let configs =
+  Fleet.layout ~dir ~shards
+    { (Sv.default_config ~address:(Sv.Unix_path dir)) with Sv.seed = 100L }
 
-let fork_shard i =
-  match Unix.fork () with
-  | 0 ->
-    (* one worker domain per shard: three shards share the box, and
-       domains never survive the fork anyway *)
-    Parallel.Runtime.set_jobs 1;
-    let base = Sv.default_config ~address:(Sv.Unix_path sockets.(i)) in
-    let cfg =
-      {
-        base with
-        Sv.journal_path = Some journals.(i);
-        snapshot_path = Some snapshots.(i);
-        seed = Int64.of_int (100 + i);
-      }
-    in
-    let code = match Sv.run cfg with Ok () -> 0 | Error _ -> 3 in
-    Unix._exit code
-  | pid -> pid
-
-let rec connect_retry tries address =
-  match Cl.connect address with
-  | Ok client -> Ok client
-  | Error e ->
-    if tries <= 0 then Error (Cl.error_to_string e)
-    else begin
-      Unix.sleepf 0.025;
-      connect_retry (tries - 1) address
-    end
-
-(* ack events per seq straight off the journal file: [recover] collapses
-   duplicates by design, the at-most-once assertion must not *)
-let ack_counts path =
-  let counts = Hashtbl.create 256 in
-  let ic = open_in path in
-  (try
-     while true do
-       let line = input_line ic in
-       match Obs.Json.of_string line with
-       | json ->
-         if Obs.Json.member "ev" json = Some (Obs.Json.Str "acked") then (
-           match Option.bind (Obs.Json.member "seq" json) Obs.Json.to_float with
-           | Some seq ->
-             let seq = int_of_float seq in
-             Hashtbl.replace counts seq
-               (1 + Option.value ~default:0 (Hashtbl.find_opt counts seq))
-           | None -> ())
-       | exception Obs.Json.Parse_error _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  counts
+let address i = (List.nth configs i).Sv.address
 
 let () =
-  let pids = Array.init shards fork_shard in
-  let fleet =
-    match
-      Sh.make
-        (List.init shards (fun i ->
-             {
-               Sh.name = Printf.sprintf "s%d" i;
-               address = Sv.Unix_path sockets.(i);
-               health = Sh.Up;
-               failures = 0;
-             }))
-    with
+  let fleet_ring =
+    match Fleet.ring configs with
     | Ok t -> t
     | Error msg ->
       prerr_endline ("fleet soak: " ^ msg);
       exit 2
   in
-  Array.iter
-    (fun s ->
-      match connect_retry 400 (Sv.Unix_path s) with
+  (* one worker domain per shard: three shards share the box *)
+  let fleet = Fleet.start ~jobs:1 configs in
+  List.iteri
+    (fun i _ ->
+      match Fleet.await (address i) with
       | Ok c -> Cl.close c
-      | Error msg -> fail "shard on %s never came up: %s" s msg)
-    sockets;
+      | Error msg -> fail "s%d never came up: %s" i msg)
+    configs;
   let netfault =
     Service.Netfault.create ~drop_conn_p:0.02 ~torn_write_p:0.02
       ~delay_read_p:0.05 ~delay_s:0.002 ~seed:2014L ()
@@ -127,26 +67,26 @@ let () =
     if (not !killed) && sent >= requests / 2 then begin
       killed := true;
       Printf.printf "fleet soak: SIGKILL s0 at %d/%d sent\n%!" sent requests;
-      Unix.kill pids.(0) Sys.sigkill;
-      ignore (Unix.waitpid [] pids.(0))
+      Fleet.signal fleet 0 Sys.sigkill;
+      ignore (Fleet.wait fleet 0)
     end;
     if !killed && (not !restarted) && sent >= 3 * requests / 4 then begin
       restarted := true;
       Printf.printf "fleet soak: restarting s0 at %d/%d sent\n%!" sent requests;
-      pids.(0) <- fork_shard 0;
-      match connect_retry 400 (Sv.Unix_path sockets.(0)) with
+      Fleet.respawn fleet 0;
+      match Fleet.await (address 0) with
       | Ok c -> Cl.close c
       | Error msg -> fail "restarted s0 never came up: %s" msg
     end
   in
   let cfg =
     {
-      (Lg.default_config ~address:(Sv.Unix_path sockets.(0)) ~requests) with
+      (Lg.default_config ~address:(address 0) ~requests) with
       Lg.connections = 2;
       burst = 16;
       seed = 2014L;
       timeout_s = 30.;
-      fleet = Some fleet;
+      fleet = Some fleet_ring;
       netfault = Some netfault;
     }
   in
@@ -174,9 +114,9 @@ let () =
     if report.Lg.errors <> [] then
       List.iter (fail "unrecovered transport error: %s") report.Lg.errors);
   (* drain the fleet: every shard still alive answers Shutdown *)
-  Array.iteri
-    (fun i socket ->
-      match connect_retry 40 (Sv.Unix_path socket) with
+  List.iteri
+    (fun i _ ->
+      match Fleet.await (address i) with
       | Error msg -> fail "s%d shutdown connect failed: %s" i msg
       | Ok client ->
         (match Cl.call client P.Shutdown with
@@ -184,20 +124,20 @@ let () =
         | Ok r -> fail "s%d shutdown answered %s" i (P.response_to_line r)
         | Error e -> fail "s%d shutdown failed: %s" i (Cl.error_to_string e));
         Cl.close client)
-    sockets;
-  Array.iteri
-    (fun i pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, Unix.WEXITED code -> fail "s%d exited with %d" i code
-      | _, Unix.WSIGNALED s -> fail "s%d died on signal %d" i s
-      | _, Unix.WSTOPPED s -> fail "s%d stopped on signal %d" i s
-      | exception Unix.Unix_error (_, _, _) -> ())
-    pids;
+    configs;
+  List.iteri
+    (fun i _ ->
+      match Fleet.wait fleet i with
+      | Some (Unix.WEXITED 0) | None -> ()
+      | Some (Unix.WEXITED code) -> fail "s%d exited with %d" i code
+      | Some (Unix.WSIGNALED s) -> fail "s%d died on signal %d" i s
+      | Some (Unix.WSTOPPED s) -> fail "s%d stopped on signal %d" i s)
+    configs;
   (* at-most-once per shard across the SIGKILL: journals drained, no
      sequence acked twice, and the restarted shard left a snapshot *)
-  Array.iteri
-    (fun i journal ->
+  List.iteri
+    (fun i (cfg : Sv.config) ->
+      let journal = Option.get cfg.Sv.journal_path in
       match J.recover ~path:journal () with
       | Error msg -> fail "s%d journal unreadable: %s" i msg
       | Ok r ->
@@ -206,11 +146,10 @@ let () =
           (fun seq count ->
             if count <> 1 then fail "s%d seq %d acked %d times" i seq count)
           (ack_counts journal))
-    journals;
-  check "the restarted shard saved a snapshot" (Sys.file_exists snapshots.(0));
-  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) sockets;
-  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) journals;
-  Array.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) snapshots;
+    configs;
+  check "the restarted shard saved a snapshot"
+    (Sys.file_exists (Option.get (List.hd configs).Sv.snapshot_path));
+  remove_dir dir;
   match !failures with
   | [] ->
     Printf.printf "fleet soak OK: %d requests, one SIGKILL, one restart\n" requests;

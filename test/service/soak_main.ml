@@ -11,6 +11,7 @@ module P = Service.Proto
 module Sv = Service.Server
 module Cl = Service.Client
 module J = Service.Journal
+open Service_fixtures
 
 let requests =
   match int_of_string_opt (try Sys.getenv "SOAK_REQUESTS" with Not_found -> "") with
@@ -22,50 +23,16 @@ let fail fmt = Printf.ksprintf (fun msg -> failures := msg :: !failures) fmt
 
 let check msg cond = if not cond then fail "%s" msg
 
-let fresh_path suffix =
-  let path = Filename.temp_file "soak" suffix in
-  Sys.remove path;
-  path
-
-let fork_server ~socket ~journal =
-  match Unix.fork () with
-  | 0 ->
-    (* pool size comes from SUBSIDIZATION_JOBS via the runtime default;
-       the parent holds no pool, so the fork is domain-safe *)
-    let base = Sv.default_config ~address:(Sv.Unix_path socket) in
-    let cfg = { base with Sv.journal_path = Some journal; allow_chaos = true } in
-    let code = match Sv.run cfg with Ok () -> 0 | Error _ -> 3 in
-    Unix._exit code
-  | pid -> pid
-
-let rec connect_retry tries address =
-  match Cl.connect address with
-  | Ok client -> Ok client
-  | Error e ->
-    if tries <= 0 then Error (Cl.error_to_string e)
-    else begin
-      Unix.sleepf 0.025;
-      connect_retry (tries - 1) address
-    end
-
-(* obs.metrics.v1 accessors ------------------------------------------ *)
-
-let series_named json name =
-  match Option.bind (Obs.Json.member "series" json) Obs.Json.to_list with
-  | None -> None
-  | Some series ->
-    List.find_opt (fun s -> Obs.Json.member "name" s = Some (Obs.Json.Str name)) series
-
-let series_float json name field =
-  Option.bind (series_named json name) (fun s ->
-      Option.bind (Obs.Json.member field s) Obs.Json.to_float)
-
 let () =
   let socket = fresh_path ".sock" in
   let journal = fresh_path ".journal" in
   let address = Sv.Unix_path socket in
-  let pid = fork_server ~socket ~journal in
-  (match connect_retry 400 address with
+  (* no ~jobs: the daemon sizes its pool from SUBSIDIZATION_JOBS *)
+  let daemon =
+    Service.Fleet.start
+      [ { (Sv.default_config ~address) with Sv.journal_path = Some journal; allow_chaos = true } ]
+  in
+  (match Service.Fleet.await address with
   | Error msg -> fail "daemon never came up: %s" msg
   | Ok probe ->
     Cl.close probe;
@@ -103,39 +70,40 @@ let () =
     (match Service.Loadgen.fetch_metrics ~prefix:"service." address with
     | Error msg -> fail "metrics fetch failed: %s" msg
     | Ok json ->
-      (match series_float json "service.solve.latency_s" "count" with
+      (match Obs.Export.series_field json ~name:"service.solve.latency_s" "count" with
       | Some count when count > 0. -> ()
       | _ -> fail "no solve latency observations");
-      (match series_float json "service.solve.latency_s" "p99" with
+      (match Obs.Export.series_field json ~name:"service.solve.latency_s" "p99" with
       | Some p99 when Float.is_finite p99 && p99 >= 0. ->
         Printf.printf "solve latency p99: %.1f ms\n" (1000. *. p99)
       | _ -> fail "no finite latency p99");
-      (match series_float json "service.queue.depth" "value" with
+      (match Obs.Export.series_field json ~name:"service.queue.depth" "value" with
       | Some depth when depth <= 64. -> ()
       | Some depth -> fail "queue depth %.0f above its bound" depth
       | None -> fail "no queue depth gauge");
       (match
-         (series_float json "service.cache.hits" "value",
-          series_float json "service.cache.warm_seeds" "value")
+         (Obs.Export.series_field json ~name:"service.cache.hits" "value",
+          Obs.Export.series_field json ~name:"service.cache.warm_seeds" "value")
        with
       | Some hits, Some warm ->
         Printf.printf "cache: %.0f hits, %.0f warm seeds\n" hits warm;
         check "the reuse-heavy load hits the cache" (hits +. warm > 0.)
       | _ -> fail "cache counters missing"));
     (* graceful drain, clean exit, empty journal *)
-    (match connect_retry 1 address with
-    | Error msg -> fail "shutdown connect failed: %s" msg
+    (match Cl.connect address with
+    | Error e -> fail "shutdown connect failed: %s" (Cl.error_to_string e)
     | Ok client ->
       (match Cl.call client P.Shutdown with
       | Ok P.Bye -> ()
       | Ok r -> fail "shutdown answered with %s" (P.response_to_line r)
       | Error e -> fail "shutdown failed: %s" (Cl.error_to_string e));
       Cl.close client));
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, Unix.WEXITED code -> fail "daemon exited with %d" code
-  | _, Unix.WSIGNALED s -> fail "daemon died on signal %d" s
-  | _, Unix.WSTOPPED s -> fail "daemon stopped on signal %d" s);
+  (match Service.Fleet.wait daemon 0 with
+  | Some (Unix.WEXITED 0) -> ()
+  | Some (Unix.WEXITED code) -> fail "daemon exited with %d" code
+  | Some (Unix.WSIGNALED s) -> fail "daemon died on signal %d" s
+  | Some (Unix.WSTOPPED s) -> fail "daemon stopped on signal %d" s
+  | None -> fail "daemon was never reaped");
   (match J.recover ~path:journal () with
   | Error msg -> fail "journal unreadable after drain: %s" msg
   | Ok r ->

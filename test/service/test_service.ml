@@ -1,10 +1,12 @@
 (* Tests for the solve daemon: wire protocol, cache, admission queue,
-   journal recovery, the served solve path, and two forked end-to-end
-   scenarios (a full request mix and a SIGKILL-mid-load restart on the
-   same journal). The forked children never inherit a worker pool: the
-   parent process must not create one before forking (domains do not
-   survive [fork]), so every in-parent test uses [Server.solve_one] /
-   pure module APIs only and the children size their own pool. *)
+   journal recovery, the served solve path, forked end-to-end scenarios
+   (a full request mix, a SIGKILL-mid-load restart on the same journal,
+   fleet failover) and the fleet supervisor. Every daemon is forked
+   through [Service.Fleet]. The forked children never inherit a worker
+   pool: the parent process must not create one before forking
+   (domains do not survive [fork]), so every in-parent test uses
+   [Server.solve_one] / pure module APIs only and the children size
+   their own pool. *)
 
 open Test_helpers
 module P = Service.Proto
@@ -13,6 +15,8 @@ module Cl = Service.Client
 module Ca = Service.Cache
 module Q = Service.Queue_guard
 module J = Service.Journal
+module Fleet = Service.Fleet
+open Service_fixtures
 
 let get_ok = function
   | Ok v -> v
@@ -25,11 +29,6 @@ let send client req = Result.map_error Cl.error_to_string (Cl.send client req)
 
 let read_response client =
   Result.map_error Cl.error_to_string (Cl.read_response client)
-
-let fresh_path suffix =
-  let path = Filename.temp_file "svc" suffix in
-  Sys.remove path;
-  path
 
 let mk_market ?(price = 0.8) ?(cap = 0.5) ?(capacity = 1.0)
     ?(names = [| "a"; "b" |]) () =
@@ -615,63 +614,56 @@ let test_solve_one_degrades_on_budget () =
 
 (* Forked end-to-end daemon ------------------------------------------ *)
 
-(* [warnings], when given, is a file the child appends each of its
-   [Warning] events to, one per line. *)
-let fork_server ?(allow_chaos = false) ?journal ?snapshot ?warnings ~socket () =
-  match Unix.fork () with
-  | 0 ->
-    (* the child sizes its own pool: domains never survive a fork, so
-       the parent must not have created one *)
-    Parallel.Runtime.set_jobs 1;
-    let base = Sv.default_config ~address:(Sv.Unix_path socket) in
-    let cfg =
-      {
-        base with
-        Sv.journal_path = journal;
-        snapshot_path = snapshot;
-        allow_chaos;
-      }
-    in
-    let on_event =
-      Option.map
-        (fun path -> function
-          | Sv.Warning msg ->
-            let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-            output_string oc (msg ^ "\n");
-            close_out oc
-          | _ -> ())
-        warnings
-    in
-    let code = match Sv.run ?on_event cfg with Ok () -> 0 | Error _ -> 3 in
-    Unix._exit code
-  | pid -> pid
+(* one daemon on [socket] with a one-domain pool; [warnings], when
+   given, is a file each [Warning] the daemon logs is appended to: the
+   child inherits this process's log sink *)
+let start_daemon ?(allow_chaos = false) ?journal ?snapshot ?warnings ~socket () =
+  Option.iter
+    (fun path ->
+      Obs.Log.set_sink
+        (Obs.Log.Custom
+           (fun ev ->
+             if ev.Obs.Log.level = Obs.Log.Warn then begin
+               let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+               output_string oc (ev.Obs.Log.msg ^ "\n");
+               close_out oc
+             end)))
+    warnings;
+  let base = Sv.default_config ~address:(Sv.Unix_path socket) in
+  let daemon =
+    Fleet.start ~jobs:1
+      [ { base with Sv.journal_path = journal; snapshot_path = snapshot; allow_chaos } ]
+  in
+  if warnings <> None then Obs.Log.reset ();
+  daemon
 
-let rec connect_retry ?(tries = 200) address =
-  match Cl.connect address with
+let connect address =
+  match Fleet.await address with
   | Ok client -> client
-  | Error e ->
-    if tries <= 0 then
-      Alcotest.failf "daemon never came up: %s" (Cl.error_to_string e)
-    else begin
-      Unix.sleepf 0.025;
-      connect_retry ~tries:(tries - 1) address
-    end
+  | Error msg -> Alcotest.failf "daemon never came up: %s" msg
 
-let wait_exit pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED code -> code
-  | _, Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
-  | _, Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped"
+let wait_exit ?(shard = 0) fleet =
+  match Fleet.wait fleet shard with
+  | Some (Unix.WEXITED code) -> code
+  | Some (Unix.WSIGNALED s) -> Alcotest.failf "daemon killed by signal %d" s
+  | Some (Unix.WSTOPPED _) -> Alcotest.fail "daemon stopped"
+  | None -> Alcotest.fail "no daemon to wait for"
+
+(* SIGKILL and reap whatever [fleet] still runs *)
+let kill_all fleet ~shards =
+  for i = 0 to shards - 1 do
+    Fleet.signal fleet i Sys.sigkill;
+    ignore (Fleet.wait fleet i)
+  done
 
 let with_daemon ?allow_chaos ?journal ?snapshot ?warnings f =
   let socket = fresh_path ".sock" in
-  let pid = fork_server ?allow_chaos ?journal ?snapshot ?warnings ~socket () in
+  let daemon = start_daemon ?allow_chaos ?journal ?snapshot ?warnings ~socket () in
   let finally () =
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
-    (try ignore (Unix.waitpid [] pid) with Unix.Unix_error (_, _, _) -> ());
+    kill_all daemon ~shards:1;
     try Sys.remove socket with Sys_error _ -> ()
   in
-  Fun.protect ~finally (fun () -> f ~socket ~pid)
+  Fun.protect ~finally (fun () -> f ~socket ~daemon)
 
 let read_line_fd fd =
   let b = Bytes.create 1 in
@@ -689,9 +681,9 @@ let read_line_fd fd =
   go ()
 
 let test_daemon_end_to_end () =
-  with_daemon @@ fun ~socket ~pid ->
+  with_daemon @@ fun ~socket ~daemon ->
   let address = Sv.Unix_path socket in
-  let client = connect_retry address in
+  let client = connect address in
   (match call client P.Ping with
   | Ok P.Pong -> ()
   | Ok r -> Alcotest.failf "ping answered with %s" (P.response_to_line r)
@@ -735,7 +727,7 @@ let test_daemon_end_to_end () =
   | Ok r -> Alcotest.failf "shutdown answered with %s" (P.response_to_line r)
   | Error msg -> Alcotest.failf "shutdown failed: %s" msg);
   Cl.close client;
-  Alcotest.(check int) "clean exit" 0 (wait_exit pid)
+  Alcotest.(check int) "clean exit" 0 (wait_exit daemon)
 
 (* Prometheus exposition: frame and plain HTTP ----------------------- *)
 
@@ -766,9 +758,9 @@ let http_get socket target =
   response
 
 let test_daemon_prometheus () =
-  with_daemon @@ fun ~socket ~pid ->
+  with_daemon @@ fun ~socket ~daemon ->
   let address = Sv.Unix_path socket in
-  let client = connect_retry address in
+  let client = connect address in
   let market = mk_market () in
   (match call client (P.Solve { id = "p1"; market; params = P.no_params }) with
   | Ok (P.Solved _) -> ()
@@ -811,7 +803,7 @@ let test_daemon_prometheus () =
   | Ok r -> Alcotest.failf "shutdown answered with %s" (P.response_to_line r)
   | Error msg -> Alcotest.failf "shutdown failed: %s" msg);
   Cl.close client;
-  Alcotest.(check int) "clean exit" 0 (wait_exit pid)
+  Alcotest.(check int) "clean exit" 0 (wait_exit daemon)
 
 (* Loadgen CSV artifact ---------------------------------------------- *)
 
@@ -856,33 +848,11 @@ let test_loadgen_csv_table () =
 
 (* SIGKILL mid-load, restart on the same journal --------------------- *)
 
-(* Count ack events per seq straight off the journal file: [recover]
-   collapses duplicates by design, the at-most-once assertion must not. *)
-let ack_counts path =
-  let counts = Hashtbl.create 64 in
-  let ic = open_in path in
-  (try
-     while true do
-       let line = input_line ic in
-       match Obs.Json.of_string line with
-       | json ->
-         if Obs.Json.member "ev" json = Some (Obs.Json.Str "acked") then (
-           match Option.bind (Obs.Json.member "seq" json) Obs.Json.to_float with
-           | Some seq ->
-             let seq = int_of_float seq in
-             Hashtbl.replace counts seq (1 + Option.value ~default:0 (Hashtbl.find_opt counts seq))
-           | None -> ())
-       | exception Obs.Json.Parse_error _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  counts
-
 let test_kill_and_restart_journal () =
   let journal = fresh_path ".journal" in
-  let socket1 = fresh_path ".sock" in
-  let pid1 = fork_server ~journal ~socket:socket1 () in
-  let client = connect_retry (Sv.Unix_path socket1) in
+  let socket = fresh_path ".sock" in
+  let daemon = start_daemon ~journal ~socket () in
+  let client = connect (Sv.Unix_path socket) in
   let rng = Numerics.Rng.create 5L in
   let n = 120 in
   for i = 0 to n - 1 do
@@ -896,10 +866,9 @@ let test_kill_and_restart_journal () =
   | Ok (P.Solved _ | P.Degraded _ | P.Shed _) -> ()
   | Ok r -> Alcotest.failf "unexpected first answer %s" (P.response_to_line r)
   | Error msg -> Alcotest.failf "no first answer: %s" msg);
-  Unix.kill pid1 Sys.sigkill;
-  ignore (Unix.waitpid [] pid1);
+  Fleet.signal daemon 0 Sys.sigkill;
+  ignore (Fleet.wait daemon 0);
   Cl.close client;
-  (try Sys.remove socket1 with Sys_error _ -> ());
   let before = get_ok (J.recover ~path:journal ()) in
   check_true "the kill left un-acked work" (before.J.pending <> []);
   check_true "some work was acked before the kill" (before.J.acked <> []);
@@ -910,16 +879,14 @@ let test_kill_and_restart_journal () =
   in
   (* restart on the same journal: recovery replays every pending
      request before the listener opens, so connect = replay done *)
-  let socket2 = fresh_path ".sock" in
-  let pid2 = fork_server ~journal ~socket:socket2 () in
-  let client2 = connect_retry (Sv.Unix_path socket2) in
+  Fleet.respawn daemon 0;
+  let client2 = connect (Sv.Unix_path socket) in
   (match call client2 P.Shutdown with
   | Ok P.Bye -> ()
   | Ok r -> Alcotest.failf "shutdown answered with %s" (P.response_to_line r)
   | Error msg -> Alcotest.failf "shutdown failed: %s" msg);
   Cl.close client2;
-  Alcotest.(check int) "clean exit after recovery" 0 (wait_exit pid2);
-  (try Sys.remove socket2 with Sys_error _ -> ());
+  Alcotest.(check int) "clean exit after recovery" 0 (wait_exit daemon);
   let after = get_ok (J.recover ~path:journal ()) in
   check_true "nothing left pending" (after.J.pending = []);
   let acked_seqs = List.sort compare (List.map (fun (seq, _, _) -> seq) after.J.acked) in
@@ -992,15 +959,9 @@ let test_netfault_determinism () =
 
 module Sh = Service.Shard
 
-let mk_shard i =
-  {
-    Sh.name = Printf.sprintf "s%d" i;
-    address = Sv.Unix_path (Printf.sprintf "/tmp/fleet-s%d.sock" i);
-    health = Sh.Up;
-    failures = 0;
-  }
-
-let mk_fleet n = get_ok (Sh.make (List.init n mk_shard))
+let mk_fleet n =
+  let base = Sv.default_config ~address:(Sv.Unix_path "/tmp/fleet") in
+  get_ok (Fleet.ring (Fleet.layout ~dir:"/tmp/fleet" ~shards:n base))
 
 let route_names t key =
   List.map (fun (s : Sh.shard) -> s.Sh.name) (Sh.route t ~key)
@@ -1032,7 +993,7 @@ let test_shard_ring () =
     check_true "success resets health" (s.Sh.health = Sh.Up && s.Sh.failures = 0));
   check_true "empty fleet rejected" (Result.is_error (Sh.make []));
   check_true "duplicate names rejected"
-    (Result.is_error (Sh.make [ mk_shard 0; mk_shard 0 ]))
+    (Result.is_error (Sh.make (let s = List.hd (Sh.shards t) in [ s; s ])))
 
 let test_shard_manifest_roundtrip () =
   let t = mk_fleet 3 in
@@ -1281,7 +1242,7 @@ let market_owned_by fleet name rng =
   go 0
 
 let test_pool_fails_over_to_live_shard () =
-  with_daemon @@ fun ~socket ~pid ->
+  with_daemon @@ fun ~socket ~daemon ->
   let dead_socket = fresh_path ".sock" in
   let fleet =
     get_ok
@@ -1291,7 +1252,7 @@ let test_pool_fails_over_to_live_shard () =
            { Sh.name = "live"; address = Sv.Unix_path socket; health = Sh.Up; failures = 0 };
          ])
   in
-  Cl.close (connect_retry (Sv.Unix_path socket));
+  Cl.close (connect (Sv.Unix_path socket));
   let pool = Pl.create ~config:pool_config fleet in
   let rng = Numerics.Rng.create 3L in
   (* a dead-owned key must be answered anyway, by the live replica *)
@@ -1311,73 +1272,57 @@ let test_pool_fails_over_to_live_shard () =
   | Error e -> Alcotest.failf "live-owned solve failed: %s" (Pl.error_to_string e));
   check_true "pool counted the failover" ((Pl.stats pool).Pl.failovers > 0);
   Pl.close pool;
-  let client = connect_retry (Sv.Unix_path socket) in
+  let client = connect (Sv.Unix_path socket) in
   (match call client P.Shutdown with
   | Ok P.Bye -> ()
   | Ok r -> Alcotest.failf "shutdown answered with %s" (P.response_to_line r)
   | Error msg -> Alcotest.failf "shutdown failed: %s" msg);
   Cl.close client;
-  Alcotest.(check int) "clean exit" 0 (wait_exit pid)
+  Alcotest.(check int) "clean exit" 0 (wait_exit daemon)
 
 (* Snapshot warm restart (forked) ------------------------------------ *)
 
-let shutdown_and_wait ~label client pid =
+let shutdown_and_wait ?shard ~label client daemon =
   (match call client P.Shutdown with
   | Ok P.Bye -> ()
   | Ok r -> Alcotest.failf "%s shutdown answered with %s" label (P.response_to_line r)
   | Error msg -> Alcotest.failf "%s shutdown failed: %s" label msg);
   Cl.close client;
-  Alcotest.(check int) (label ^ " clean exit") 0 (wait_exit pid)
+  Alcotest.(check int) (label ^ " clean exit") 0 (wait_exit ?shard daemon)
 
 let test_snapshot_warm_restart () =
   let snapshot = fresh_path ".snapshot" in
-  let socket1 = fresh_path ".sock" in
-  let pid1 = fork_server ~snapshot ~socket:socket1 () in
-  let client = connect_retry (Sv.Unix_path socket1) in
+  let socket = fresh_path ".sock" in
+  let daemon = start_daemon ~snapshot ~socket () in
+  let client = connect (Sv.Unix_path socket) in
   let market = mk_market () in
   (match call client (P.Solve { id = "w1"; market; params = P.no_params }) with
   | Ok (P.Solved { result; _ }) ->
     check_true "first solve is cold" (result.P.cache = P.Cold)
   | Ok r -> Alcotest.failf "solve answered with %s" (P.response_to_line r)
   | Error msg -> Alcotest.failf "solve failed: %s" msg);
-  shutdown_and_wait ~label:"first daemon" client pid1;
-  (try Sys.remove socket1 with Sys_error _ -> ());
+  shutdown_and_wait ~label:"first daemon" client daemon;
   check_true "drain wrote the snapshot" (Sys.file_exists snapshot);
   check_true "the snapshot is cache.v2"
     (snapshot_schema snapshot = Some (Obs.Json.Str "cache.v2"));
   (* a fresh process on the same snapshot answers the repeated
      fingerprint from the reloaded cache: zero solver evaluations,
      strictly cheaper than the cold solve above *)
-  let socket2 = fresh_path ".sock" in
-  let pid2 = fork_server ~snapshot ~socket:socket2 () in
-  let client2 = connect_retry (Sv.Unix_path socket2) in
+  Fleet.respawn daemon 0;
+  let client2 = connect (Sv.Unix_path socket) in
   (match call client2 (P.Solve { id = "w2"; market; params = P.no_params }) with
   | Ok (P.Solved { result; _ }) ->
     check_true "repeat after restart is a cache hit" (result.P.cache = P.Hit)
   | Ok r -> Alcotest.failf "repeat answered with %s" (P.response_to_line r)
   | Error msg -> Alcotest.failf "repeat failed: %s" msg);
   (* the restarted daemon's own counters agree *)
-  (match Service.Loadgen.fetch_metrics ~prefix:"service.cache." (Sv.Unix_path socket2) with
+  (match Service.Loadgen.fetch_metrics ~prefix:"service.cache." (Sv.Unix_path socket) with
   | Error msg -> Alcotest.failf "metrics fetch failed: %s" msg
   | Ok json -> (
-    let series =
-      match Obs.Json.member "series" json with
-      | Some (Obs.Json.Arr items) -> items
-      | _ -> []
-    in
-    let value name =
-      List.find_map
-        (fun s ->
-          if Obs.Json.member "name" s = Some (Obs.Json.Str name) then
-            Option.bind (Obs.Json.member "value" s) Obs.Json.to_float
-          else None)
-        series
-    in
-    match value "service.cache.hits" with
+    match Obs.Export.series_field json ~name:"service.cache.hits" "value" with
     | Some hits -> check_true "daemon counted the hit" (hits >= 1.)
     | None -> Alcotest.fail "no cache.hits counter"));
-  shutdown_and_wait ~label:"restarted daemon" client2 pid2;
-  (try Sys.remove socket2 with Sys_error _ -> ());
+  shutdown_and_wait ~label:"restarted daemon" client2 daemon;
   Sys.remove snapshot
 
 let test_snapshot_v1_starts_cold () =
@@ -1385,14 +1330,14 @@ let test_snapshot_v1_starts_cold () =
   let warnings = fresh_path ".warnings" in
   let market = mk_market () in
   write_snapshot_as ~schema:"cache.v1" ~path:snapshot [ market ];
-  (with_daemon ~snapshot ~warnings @@ fun ~socket ~pid ->
-   let client = connect_retry (Sv.Unix_path socket) in
+  (with_daemon ~snapshot ~warnings @@ fun ~socket ~daemon ->
+   let client = connect (Sv.Unix_path socket) in
    (match call client (P.Solve { id = "v1"; market; params = P.no_params }) with
    | Ok (P.Solved { result; _ }) ->
      check_true "a cache.v1 entry is never served" (result.P.cache = P.Cold)
    | Ok r -> Alcotest.failf "solve answered with %s" (P.response_to_line r)
    | Error msg -> Alcotest.failf "solve failed: %s" msg);
-   shutdown_and_wait ~label:"cold daemon" client pid);
+   shutdown_and_wait ~label:"cold daemon" client daemon);
   let logged =
     if Sys.file_exists warnings then begin
       let s = read_file warnings in
@@ -1405,26 +1350,42 @@ let test_snapshot_v1_starts_cold () =
     (contains logged "cache.v1");
   Sys.remove snapshot
 
-(* Fleet failover under SIGKILL (forked, 3 shards) ------------------- *)
+(* Fleet: failover, supervision, respawn (forked) -------------------- *)
+
+(* [f configs fleet] over a started [shards]-shard fleet laid out
+   under a fresh directory; whatever still runs afterwards is killed *)
+let with_fleet ~shards f =
+  let dir = Filename.temp_dir "fleet" "" in
+  let configs =
+    Fleet.layout ~dir ~shards (Sv.default_config ~address:(Sv.Unix_path dir))
+  in
+  let fleet = Fleet.start ~jobs:1 configs in
+  let finally () =
+    kill_all fleet ~shards;
+    remove_dir dir
+  in
+  Fun.protect ~finally (fun () -> f configs fleet)
+
+let shard_address configs i = (List.nth configs i).Sv.address
+
+(* every journal closes with nothing pending and no seq acked twice:
+   at-most-once per shard across a SIGKILL *)
+let check_journals_drained configs =
+  List.iter
+    (fun (cfg : Sv.config) ->
+      let journal = Option.get cfg.Sv.journal_path in
+      let r = get_ok (J.recover ~path:journal ()) in
+      check_true "journal drained" (r.J.pending = []);
+      Hashtbl.iter
+        (fun seq count ->
+          if count <> 1 then Alcotest.failf "seq %d acked %d times" seq count)
+        (ack_counts journal))
+    configs
 
 let test_fleet_failover_sigkill () =
-  let sockets = Array.init 3 (fun _ -> fresh_path ".sock") in
-  let journals = Array.init 3 (fun _ -> fresh_path ".journal") in
-  let pids =
-    Array.init 3 (fun i -> fork_server ~journal:journals.(i) ~socket:sockets.(i) ())
-  in
-  let fleet =
-    get_ok
-      (Sh.make
-         (List.init 3 (fun i ->
-              {
-                Sh.name = Printf.sprintf "s%d" i;
-                address = Sv.Unix_path sockets.(i);
-                health = Sh.Up;
-                failures = 0;
-              })))
-  in
-  Array.iter (fun s -> Cl.close (connect_retry (Sv.Unix_path s))) sockets;
+  with_fleet ~shards:3 @@ fun configs daemons ->
+  let fleet = get_ok (Fleet.ring configs) in
+  List.iteri (fun i _ -> Cl.close (connect (shard_address configs i))) configs;
   let pool =
     Pl.create ~config:{ pool_config with Pl.breaker_cooldown_s = 0.2 } fleet
   in
@@ -1443,8 +1404,8 @@ let test_fleet_failover_sigkill () =
   check_true "no failovers while healthy"
     (List.for_all (fun (a : Pl.answer) -> a.Pl.failovers = 0) answers1);
   (* phase 2: SIGKILL s0; the same load must still be fully answered *)
-  Unix.kill pids.(0) Sys.sigkill;
-  ignore (Unix.waitpid [] pids.(0));
+  Fleet.signal daemons 0 Sys.sigkill;
+  ignore (Fleet.wait daemons 0);
   let answers2 = List.map (solve_ok "post-kill solve") markets in
   check_true "keys owned by the casualty failed over"
     (List.exists (fun (a : Pl.answer) -> a.Pl.failovers > 0) answers2);
@@ -1462,8 +1423,8 @@ let test_fleet_failover_sigkill () =
   | None -> Alcotest.fail "stats lost a shard");
   (* phase 3: restart s0 on the same socket and journal; after the
      cooldown one probe closes the breaker and traffic returns *)
-  pids.(0) <- fork_server ~journal:journals.(0) ~socket:sockets.(0) ();
-  Cl.close (connect_retry (Sv.Unix_path sockets.(0)));
+  Fleet.respawn daemons 0;
+  Cl.close (connect (shard_address configs 0));
   Unix.sleepf 0.25;
   Pl.probe pool;
   (match
@@ -1479,24 +1440,156 @@ let test_fleet_failover_sigkill () =
   check_true "the restarted shard serves again"
     (List.exists (fun (a : Pl.answer) -> a.Pl.shard = "s0") answers3);
   Pl.close pool;
-  (* drain the fleet; every journal must close with nothing pending and
-     no seq acked twice — at-most-once per shard across the SIGKILL *)
-  Array.iteri
-    (fun i socket ->
-      let c = connect_retry (Sv.Unix_path socket) in
-      shutdown_and_wait ~label:(Printf.sprintf "s%d" i) c pids.(i))
-    sockets;
-  Array.iter
-    (fun journal ->
-      let r = get_ok (J.recover ~path:journal ()) in
-      check_true "journal drained" (r.J.pending = []);
-      Hashtbl.iter
-        (fun seq count ->
-          if count <> 1 then Alcotest.failf "seq %d acked %d times" seq count)
-        (ack_counts journal);
-      Sys.remove journal)
-    journals;
-  Array.iter (fun s -> try Sys.remove s with Sys_error _ -> ()) sockets
+  List.iteri
+    (fun i _ ->
+      shutdown_and_wait ~shard:i ~label:(Printf.sprintf "s%d" i)
+        (connect (shard_address configs i))
+        daemons)
+    configs;
+  check_journals_drained configs
+
+(* a problem seen inside a supervise callback, where raising would
+   leave the fleet running; asserted once [supervise] has returned *)
+let noted = ref []
+let note fmt = Printf.ksprintf (fun msg -> noted := msg :: !noted) fmt
+
+let check_no_notes () =
+  let notes = List.rev !noted in
+  noted := [];
+  Alcotest.(check (list string)) "no problem inside the callbacks" [] notes
+
+let stop_self () = Unix.kill (Unix.getpid ()) Sys.sigterm
+
+(* [Fleet.supervise] over a [shards]-shard fleet in this process,
+   bounded twice over. A Spawned event beyond the [cap]-th, or a fleet
+   still up after 30 s, SIGTERMs this process, so [supervise] drains
+   the fleet and respawns nothing more; a fleet still up 5 s later is
+   SIGKILLed. A regression can neither fork without bound nor hang the
+   suite. Returns the summary, the Spawned count and every Exited
+   event in order. *)
+let supervise_capped ?(cap = 3) ?ready ?(on_spawn = fun ~count:_ _ -> ()) ~shards
+    ~restart fleet =
+  let spawns = ref 0 and exits = ref [] and alarms = ref 0 in
+  let on_event = function
+    | Fleet.Spawned { shard; _ } ->
+      incr spawns;
+      on_spawn ~count:!spawns shard;
+      if !spawns > cap then stop_self ()
+    | Fleet.Exited { shard; status; restarting } ->
+      exits := (shard, status, restarting) :: !exits
+  in
+  let watchdog _ =
+    incr alarms;
+    if !alarms = 1 then begin
+      note "the fleet was still up after 30 s";
+      stop_self ();
+      ignore (Unix.alarm 5)
+    end
+    else for i = 0 to shards - 1 do Fleet.signal fleet i Sys.sigkill done
+  in
+  let old_alarm = Sys.signal Sys.sigalrm (Sys.Signal_handle watchdog) in
+  ignore (Unix.alarm 30);
+  let finally () =
+    ignore (Unix.alarm 0);
+    Sys.set_signal Sys.sigalrm old_alarm
+  in
+  let summary =
+    Fun.protect ~finally (fun () -> Fleet.supervise ~on_event ?ready ~restart fleet)
+  in
+  (summary, !spawns, List.rev !exits)
+
+let solve_on address id =
+  match Fleet.await address with
+  | Error msg -> note "%s: %s" id msg
+  | Ok client ->
+    (match call client (P.Solve { id; market = mk_market (); params = P.no_params }) with
+    | Ok (P.Solved _) -> ()
+    | Ok r -> note "%s answered %s" id (P.response_to_line r)
+    | Error msg -> note "%s failed: %s" id msg);
+    Cl.close client
+
+let shutdown_frame address =
+  match Fleet.await address with
+  | Error msg -> note "shutdown connect: %s" msg
+  | Ok client ->
+    (match call client P.Shutdown with
+    | Ok P.Bye -> ()
+    | Ok r -> note "shutdown answered %s" (P.response_to_line r)
+    | Error msg -> note "shutdown failed: %s" msg);
+    Cl.close client
+
+let test_supervise_respawns_sigkilled_shard () =
+  with_fleet ~shards:2 @@ fun configs fleet ->
+  let s0 = shard_address configs 0 and s1 = shard_address configs 1 in
+  (* s0 acks work, then dies by SIGKILL *)
+  let ready () =
+    solve_on s0 "before-kill";
+    solve_on s1 "s1";
+    Fleet.signal fleet 0 Sys.sigkill
+  in
+  (* the third spawn is s0's replacement: it answers on the same socket,
+     then both shards drain on Shutdown frames *)
+  let on_spawn ~count shard =
+    if count = 3 then begin
+      if shard <> 0 then note "spawn 3 was s%d, not the casualty" shard;
+      solve_on s0 "after-respawn";
+      shutdown_frame s0;
+      shutdown_frame s1
+    end
+  in
+  let summary, spawns, exits =
+    supervise_capped ~ready ~on_spawn ~shards:2 ~restart:true fleet
+  in
+  check_no_notes ();
+  Alcotest.(check int) "two starts and one respawn" 3 spawns;
+  Alcotest.(check int) "one unexpected exit" 1 summary.Fleet.unexpected;
+  Alcotest.(check int) "nothing retired" 0 summary.Fleet.retired;
+  (match exits with
+  | (0, Unix.WSIGNALED s, true) :: clean ->
+    check_true "the casualty died by SIGKILL" (s = Sys.sigkill);
+    check_true "both shards then drained cleanly"
+      (List.sort compare (List.map (fun (i, st, _) -> (i, st)) clean)
+      = [ (0, Unix.WEXITED 0); (1, Unix.WEXITED 0) ])
+  | _ -> Alcotest.fail "the first exit is not s0's SIGKILL, marked restarting");
+  check_journals_drained configs;
+  let s0_journal = Option.get (List.hd configs).Sv.journal_path in
+  Alcotest.(check int) "s0's journal holds both incarnations' acks" 2
+    (List.length (get_ok (J.recover ~path:s0_journal ())).J.acked);
+  check_true "the replacement saved s0's snapshot"
+    (Sys.file_exists (Option.get (List.hd configs).Sv.snapshot_path))
+
+let test_supervise_sigterm_drains () =
+  with_fleet ~shards:2 @@ fun configs fleet ->
+  (* every shard answers a ping, so each has its own handlers installed *)
+  let ready () =
+    List.iteri
+      (fun i _ ->
+        match Fleet.await (shard_address configs i) with
+        | Ok c -> Cl.close c
+        | Error msg -> note "s%d: %s" i msg)
+      configs;
+    stop_self ()
+  in
+  let summary, spawns, exits = supervise_capped ~ready ~shards:2 ~restart:true fleet in
+  check_no_notes ();
+  Alcotest.(check int) "no respawn" 2 spawns;
+  check_true "the stop signal was forwarded" summary.Fleet.stopped;
+  Alcotest.(check int) "no unexpected exit" 0 summary.Fleet.unexpected;
+  check_true "each shard exited 0, none restarting"
+    (List.sort compare exits = [ (0, Unix.WEXITED 0, false); (1, Unix.WEXITED 0, false) ])
+
+let test_supervise_retires_startup_failure () =
+  (* no journal or snapshot, whose opening would create the directory *)
+  let socket = Filename.concat (fresh_path ".gone") "s0.sock" in
+  let fleet = Fleet.start ~jobs:1 [ Sv.default_config ~address:(Sv.Unix_path socket) ] in
+  Fun.protect ~finally:(fun () -> kill_all fleet ~shards:1) @@ fun () ->
+  let summary, spawns, exits = supervise_capped ~shards:1 ~restart:true fleet in
+  check_no_notes ();
+  Alcotest.(check int) "spawned exactly once" 1 spawns;
+  Alcotest.(check int) "retired" 1 summary.Fleet.retired;
+  Alcotest.(check int) "counted unexpected" 1 summary.Fleet.unexpected;
+  check_true "exited with the startup-failure code, not restarting"
+    (exits = [ (0, Unix.WEXITED Fleet.startup_failure, false) ])
 
 let suite =
   ( "service",
@@ -1548,6 +1641,12 @@ let suite =
         test_snapshot_v1_starts_cold;
       quick "fleet: SIGKILL one of three shards, failover and recovery"
         test_fleet_failover_sigkill;
+      quick "fleet: supervise respawns a SIGKILLed shard on its own files"
+        test_supervise_respawns_sigkilled_shard;
+      quick "fleet: SIGTERM to the supervisor drains every shard"
+        test_supervise_sigterm_drains;
+      quick "fleet: a shard that fails at startup is retired"
+        test_supervise_retires_startup_failure;
     ] )
 
 let () = Alcotest.run "service" [ suite ]
