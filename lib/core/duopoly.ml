@@ -2,9 +2,8 @@ open Numerics
 
 type t = {
   cps : Econ.Cp.t array;
-  utilization : Econ.Utilization.t;
-  capacity_a : float;
-  capacity_b : float;
+  sys_a : System.t; (* ISP A's and ISP B's Lemma-1 systems *)
+  sys_b : System.t;
   eta : float;
   cap : float;
   mutable subsidy_cache : Vec.t option; (* warm start for the CP game *)
@@ -29,11 +28,11 @@ let make ?(utilization = Econ.Utilization.linear) ?(eta = 4.) ~cps ~capacity_a
     invalid_arg "Duopoly.make: capacities must be positive";
   if eta <= 0. then invalid_arg "Duopoly.make: eta must be positive";
   if cap < 0. then invalid_arg "Duopoly.make: cap must be non-negative";
+  let cps = Array.copy cps in
   {
-    cps = Array.copy cps;
-    utilization;
-    capacity_a;
-    capacity_b;
+    cps;
+    sys_a = System.make ~utilization ~cps ~capacity:capacity_a ();
+    sys_b = System.make ~utilization ~cps ~capacity:capacity_b ();
     eta;
     cap;
     subsidy_cache = None;
@@ -58,21 +57,15 @@ let split_populations d ~prices ~subsidies =
     d.cps;
   (ma, mb)
 
-let systems d =
-  let sys_a = System.make ~utilization:d.utilization ~cps:d.cps ~capacity:d.capacity_a () in
-  let sys_b = System.make ~utilization:d.utilization ~cps:d.cps ~capacity:d.capacity_b () in
-  (sys_a, sys_b)
-
 let states d ~prices ~subsidies =
   let ma, mb = split_populations d ~prices ~subsidies in
-  let sys_a, sys_b = systems d in
   (* carry each ISP's utilization across the many nearby solves a
      best-response sweep makes *)
   let st_a =
-    System.solve_fixed_populations ~phi_guess:d.phi_cache_a sys_a ~populations:ma
+    System.solve_fixed_populations ~phi_guess:d.phi_cache_a d.sys_a ~populations:ma
   in
   let st_b =
-    System.solve_fixed_populations ~phi_guess:d.phi_cache_b sys_b ~populations:mb
+    System.solve_fixed_populations ~phi_guess:d.phi_cache_b d.sys_b ~populations:mb
   in
   d.phi_cache_a <- Float.max st_a.System.phi 1e-6;
   d.phi_cache_b <- Float.max st_b.System.phi 1e-6;
@@ -93,7 +86,6 @@ let fused_marginal d ~prices i s si =
   let n = Array.length d.cps in
   let subsidies = Vec.init n (fun j -> if j = i then si else s.(j)) in
   let st_a, st_b = states d ~prices ~subsidies in
-  let sys_a, sys_b = systems d in
   let cp = d.cps.(i) in
   (* the min branch is fixed by the price difference, not by s_i *)
   let t_i = D2.make ~v:(Float.min (pa -. si) (pb -. si)) ~d:(-1.) ~dd:0. in
@@ -109,11 +101,11 @@ let fused_marginal d ~prices i s si =
   in
   let pops_a = seeded st_a share_a and pops_b = seeded st_b (1. -. share_a) in
   let phi_a =
-    System.phi_d2 sys_a ~populations:pops_a ~phi:st_a.System.phi
+    System.phi_d2 d.sys_a ~populations:pops_a ~phi:st_a.System.phi
       ~gap_slope:st_a.System.gap_slope
   in
   let phi_b =
-    System.phi_d2 sys_b ~populations:pops_b ~phi:st_b.System.phi
+    System.phi_d2 d.sys_b ~populations:pops_b ~phi:st_b.System.phi
       ~gap_slope:st_b.System.gap_slope
   in
   let theta =

@@ -11,7 +11,7 @@ let best_response_trace game ~x0 =
 
 let gradient_flow ?(horizon = 600.) ?(dt = 0.25) game ~x0 =
   Gametheory.Gradient_dynamics.flow
-    ~marginal:(fun i s -> Subsidy_game.marginal_utility game ~subsidies:s i)
+    ~marginal:(fun s -> Subsidy_game.marginal_utilities game ~subsidies:s)
     ~box:(Subsidy_game.box game) ~horizon ~dt ~x0 ()
 
 let compare ?x0 game =

@@ -4,6 +4,21 @@ type t = {
   cps : Econ.Cp.t array;
   utilization : Econ.Utilization.t;
   capacity : float;
+  rates_at_zero : Vec.t;
+}
+
+(* One kernel pass of the gap function at fixed populations: g(phi),
+   g'(phi) and every CP's rate, from one rate+slope evaluation per CP.
+   The pass remembers the utilization it last ran at, so the Newton
+   slope at an iterate, and the solved state at the root, read the pass
+   the gap evaluation there already made instead of running their own. *)
+type pass = {
+  populations : Vec.t;
+  mutable at : float;  (** nan while no complete pass is stored *)
+  mutable gap : float;
+  mutable slope : float;
+  rates : Vec.t;
+  slopes : Vec.t;
 }
 
 type state = {
@@ -21,7 +36,9 @@ let make ?(utilization = Econ.Utilization.linear) ~cps ~capacity () =
   if capacity <= 0. || not (Float.is_finite capacity) then
     Precondition.fail ~fn:"System.make"
       (Printf.sprintf "capacity must be positive, got %g" capacity);
-  { cps = Array.copy cps; utilization; capacity }
+  let cps = Array.copy cps in
+  let rates_at_zero = Vec.init (Array.length cps) (fun i -> Econ.Cp.rate cps.(i) 0.) in
+  { cps; utilization; capacity; rates_at_zero }
 
 let n_cps sys = Array.length sys.cps
 
@@ -35,50 +52,72 @@ let check_charges sys charges =
 let populations_of sys charges =
   Vec.init (n_cps sys) (fun i -> Econ.Cp.population sys.cps.(i) charges.(i))
 
-let demand_at sys populations phi =
-  let acc = ref 0. in
-  Array.iteri
-    (fun i cp -> acc := !acc +. (populations.(i) *. Econ.Cp.rate cp phi))
-    sys.cps;
-  !acc
+let pass_for sys populations : pass =
+  let n = n_cps sys in
+  {
+    populations;
+    at = Float.nan;
+    gap = Float.nan;
+    slope = Float.nan;
+    rates = Array.create_float n;
+    slopes = Array.create_float n;
+  }
 
-let gap_with_populations sys populations phi =
-  Econ.Utilization.theta_of sys.utilization ~phi ~mu:sys.capacity
-  -. demand_at sys populations phi
+(* the stored pass is at exactly [phi]; a non-finite [phi] never
+   matches, so the domain checks of a fresh pass see it *)
+let holds (p : pass) phi =
+  Float.is_finite phi && Int64.equal (Int64.bits_of_float phi) (Int64.bits_of_float p.at)
+
+let run_pass sys (p : pass) phi =
+  if not (holds p phi) then begin
+    p.at <- Float.nan;
+    let supply = Econ.Utilization.theta_of sys.utilization ~phi ~mu:sys.capacity in
+    let supply_slope = Econ.Utilization.dtheta_dphi sys.utilization ~phi ~mu:sys.capacity in
+    let demand = ref 0. and demand_slope = ref 0. in
+    for i = 0 to Array.length sys.cps - 1 do
+      Econ.Throughput.rate_slope_into sys.cps.(i).Econ.Cp.throughput phi ~rates:p.rates
+        ~slopes:p.slopes i;
+      demand := !demand +. (p.populations.(i) *. p.rates.(i));
+      demand_slope := !demand_slope +. (p.populations.(i) *. p.slopes.(i))
+    done;
+    p.gap <- supply -. !demand;
+    p.slope <- supply_slope -. !demand_slope;
+    p.at <- phi
+  end
 
 let gap sys ~charges phi =
   check_charges sys charges;
-  gap_with_populations sys (populations_of sys charges) phi
+  let p = pass_for sys (populations_of sys charges) in
+  run_pass sys p phi;
+  p.gap
 
-let gap_slope_with_populations sys populations phi =
-  let supply = Econ.Utilization.dtheta_dphi sys.utilization ~phi ~mu:sys.capacity in
-  let demand_slope = ref 0. in
-  Array.iteri
-    (fun i cp ->
-      demand_slope :=
-        !demand_slope +. (populations.(i) *. Econ.Throughput.derivative cp.Econ.Cp.throughput phi))
-    sys.cps;
-  supply -. !demand_slope
+(* g(0) from the rates cached at [make], summed in the pass's order *)
+let gap_at_zero sys populations =
+  let demand = ref 0. in
+  Array.iteri (fun i m -> demand := !demand +. (m *. sys.rates_at_zero.(i))) populations;
+  Econ.Utilization.theta_of sys.utilization ~phi:0. ~mu:sys.capacity -. !demand
 
-let gap_slope sys ~charges phi =
-  check_charges sys charges;
-  gap_slope_with_populations sys (populations_of sys charges) phi
-
-let equilibrium_phi_result ?(phi_guess = 1.) sys populations =
+let equilibrium_phi_result ?(phi_guess = 1.) sys (p : pass) =
   Obs.Trace.with_span "system.equilibrium_phi" @@ fun () ->
-  let g phi = gap_with_populations sys populations phi in
-  let dg phi = gap_slope_with_populations sys populations phi in
+  let g phi =
+    run_pass sys p phi;
+    p.gap
+  in
+  let dg phi =
+    run_pass sys p phi;
+    p.slope
+  in
   let guess = Float.max phi_guess 1e-6 in
   (* g(0) <= 0 always (zero supply, positive demand); equality means the
-     market clears at zero utilization. The only exception g can raise
-     here is Invalid_argument, from the econ domain checks when the
+     market clears at zero utilization. The only exception the probe
+     can raise is Invalid_argument, from the econ domain checks when the
      system state is poisoned (e.g. a non-finite capacity injected past
      System.make); that case must fall through to the robust chain,
      whose guard turns the same Invalid_argument into a typed failure
      with the full attempt history. Anything else is a genuine bug and
      propagates. A non-finite probe value falls through likewise and is
      diagnosed as Non_finite. *)
-  let probe = match g 0. with
+  let probe = match gap_at_zero sys p.populations with
     | g0 -> Float.is_finite g0 && g0 >= 0.
     | exception Invalid_argument _ -> false
   in
@@ -94,40 +133,37 @@ let equilibrium_phi_result ?(phi_guess = 1.) sys populations =
       Ok s.Robust.result.Rootfind.root
     | Error e -> Error e
 
-let equilibrium_phi_with_populations ?phi_guess sys populations =
-  match equilibrium_phi_result ?phi_guess sys populations with
-  | Ok phi -> phi
-  | Error e -> raise (Robust.Solver_error e)
-
-let state_of sys charges populations phi =
-  let n = n_cps sys in
-  let rates = Vec.init n (fun i -> Econ.Cp.rate sys.cps.(i) phi) in
-  let throughputs = Vec.mul populations rates in
+(* the state at the root, from the pass made there (a root the chain
+   did not evaluate last gets one more pass); the state takes over the
+   pass's rates *)
+let state_of sys charges (p : pass) phi =
+  run_pass sys p phi;
+  let throughputs = Vec.mul p.populations p.rates in
   {
     phi;
     charges;
-    populations;
-    rates;
+    populations = p.populations;
+    rates = p.rates;
     throughputs;
     aggregate = Vec.sum throughputs;
-    gap_slope = gap_slope_with_populations sys populations phi;
+    gap_slope = p.slope;
   }
+
+let solve_populations ?phi_guess sys ~charges populations =
+  let p = pass_for sys populations in
+  Result.map (state_of sys charges p) (equilibrium_phi_result ?phi_guess sys p)
+
+let ok_or_raise = function Ok x -> x | Error e -> raise (Robust.Solver_error e)
 
 let equilibrium_phi ?phi_guess sys ~charges =
   check_charges sys charges;
-  equilibrium_phi_with_populations ?phi_guess sys (populations_of sys charges)
+  ok_or_raise (equilibrium_phi_result ?phi_guess sys (pass_for sys (populations_of sys charges)))
 
 let solve_result ?phi_guess sys ~charges =
   check_charges sys charges;
-  let populations = populations_of sys charges in
-  match equilibrium_phi_result ?phi_guess sys populations with
-  | Ok phi -> Ok (state_of sys (Vec.copy charges) populations phi)
-  | Error e -> Error e
+  solve_populations ?phi_guess sys ~charges:(Vec.copy charges) (populations_of sys charges)
 
-let solve ?phi_guess sys ~charges =
-  match solve_result ?phi_guess sys ~charges with
-  | Ok st -> st
-  | Error e -> raise (Robust.Solver_error e)
+let solve ?phi_guess sys ~charges = ok_or_raise (solve_result ?phi_guess sys ~charges)
 
 let solve_fixed_populations ?phi_guess sys ~populations =
   Precondition.require ~fn:"System.solve_fixed_populations"
@@ -139,8 +175,10 @@ let solve_fixed_populations ?phi_guess sys ~populations =
         (m >= 0. && Float.is_finite m)
         "populations must be non-negative")
     populations;
-  let phi = equilibrium_phi_with_populations ?phi_guess sys populations in
-  state_of sys (Vec.make (n_cps sys) Float.nan) (Vec.copy populations) phi
+  ok_or_raise
+    (solve_populations ?phi_guess sys
+       ~charges:(Vec.make (n_cps sys) Float.nan)
+       (Vec.copy populations))
 
 (* ------------------------------------------------------------------ *)
 (* dual-field equilibria: the gap function in dual arithmetic plus

@@ -13,6 +13,9 @@ type t = {
   cps : Econ.Cp.t array;
   utilization : Econ.Utilization.t;
   capacity : float;
+  rates_at_zero : Numerics.Vec.t;
+      (** [lambda_i(0)], cached by {!make} for the zero-utilization
+          probe of every solve *)
 }
 
 type state = {
@@ -43,20 +46,21 @@ val gap : t -> charges:Numerics.Vec.t -> float -> float
 (** [gap sys ~charges phi = g(phi)] at fixed populations
     [m_i(charges_i)]. *)
 
-val gap_slope : t -> charges:Numerics.Vec.t -> float -> float
-(** [dg/dphi]: supply slope minus (negative) demand slope, strictly
-    positive. *)
-
 val equilibrium_phi : ?phi_guess:float -> t -> charges:Numerics.Vec.t -> float
 (** The unique root of the gap function, via the {!Numerics.Robust}
     fallback chain (analytic-slope Newton from [phi_guess], default 1,
-    then secant, Brent and re-bracketed bisection). Raises
+    then secant, Brent and re-bracketed bisection). Each Newton iterate
+    costs one kernel pass: the gap evaluation computes [g], [g'] and
+    every rate together, and the slope reads that pass. A market with
+    [g(0) >= 0], checked from the cached [rates_at_zero], clears at
+    [phi = 0] without a root call. Raises
     {!Numerics.Robust.Solver_error} when the whole chain fails —
     numerical failure is a typed solver error, never
     [Invalid_argument]. *)
 
 val solve : ?phi_guess:float -> t -> charges:Numerics.Vec.t -> state
-(** Equilibrium utilization plus all derived per-CP quantities. Raises
+(** Equilibrium utilization plus all derived per-CP quantities, read
+    from the kernel pass the root finder made at the root. Raises
     {!Numerics.Robust.Solver_error} on numerical failure; sweeps that
     must degrade gracefully use {!solve_result}. *)
 

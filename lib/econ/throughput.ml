@@ -67,6 +67,27 @@ let derivative th phi =
   check_phi phi;
   th.df phi
 
+(* the Lemma-1 Newton pass needs rate and slope at every iterate: one
+   direct float evaluation writes both, without the functor's calls.
+   The operations are [K_float]'s, in its order, so both values are
+   bit-identical to [rate] and [derivative]; the exponential shares
+   its one [exp] and the rational its denominator. *)
+let rate_slope_into th phi ~rates ~slopes i =
+  check_phi phi;
+  match th.spec with
+  | Exponential { l0; beta } ->
+    let e = exp (-.beta *. phi) in
+    rates.(i) <- l0 *. e;
+    slopes.(i) <- -.beta *. l0 *. e
+  | Isoelastic { l0; beta } ->
+    let b = 1. +. phi in
+    rates.(i) <- l0 *. Float.pow b (-.beta);
+    slopes.(i) <- -.beta *. l0 *. Float.pow b (-.beta -. 1.)
+  | Rational { l0; beta } ->
+    let d = 1. +. (beta *. phi) in
+    rates.(i) <- l0 /. d;
+    slopes.(i) <- -.l0 *. beta /. (d *. d)
+
 let rate_d th phi =
   check_phi (Numerics.Dual.v phi);
   K_dual.rate th.spec phi

@@ -34,6 +34,12 @@ val rate : t -> float -> float
 val derivative : t -> float -> float
 (** [dlambda/dphi], analytically. Always negative. *)
 
+val rate_slope_into :
+  t -> float -> rates:float array -> slopes:float array -> int -> unit
+(** [rate_slope_into th phi ~rates ~slopes i] stores [rate th phi] in
+    [rates.(i)] and [derivative th phi] in [slopes.(i)], bit for bit,
+    from one evaluation (one [exp] for the exponential family). *)
+
 val rate_d : t -> Numerics.Dual.t -> Numerics.Dual.t
 (** [lambda(phi)] on dual numbers (primal [phi >= 0] required). *)
 

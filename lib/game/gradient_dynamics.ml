@@ -8,12 +8,12 @@ type result = {
 }
 
 let vector_field ~marginal ~box s =
+  let u = marginal s in
   Vec.init (Box.dim box) (fun i ->
-      let u = marginal i s in
       (* freeze components pushing out of the box at an active bound *)
-      if Box.on_lower box s i && u < 0. then 0.
-      else if Box.on_upper box s i && u > 0. then 0.
-      else u)
+      if Box.on_lower box s i && u.(i) < 0. then 0.
+      else if Box.on_upper box s i && u.(i) > 0. then 0.
+      else u.(i))
 
 let flow ?(tol = 1e-8) ~marginal ~box ~horizon ~dt ~x0 () =
   if horizon <= 0. then invalid_arg "Gradient_dynamics.flow: horizon must be positive";
@@ -23,7 +23,7 @@ let flow ?(tol = 1e-8) ~marginal ~box ~horizon ~dt ~x0 () =
     Ode.integrate ~post ~f ~t0:0. ~t1:horizon ~dt (Box.project box x0)
   in
   let final = Ode.final trajectory in
-  let u_map s = Vec.init (Box.dim box) (fun i -> -.marginal i s) in
+  let u_map s = Vec.neg (marginal s) in
   {
     trajectory;
     final;

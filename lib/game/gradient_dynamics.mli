@@ -16,7 +16,7 @@ type result = {
 
 val flow :
   ?tol:float ->
-  marginal:(int -> Numerics.Vec.t -> float) ->
+  marginal:(Numerics.Vec.t -> Numerics.Vec.t) ->
   box:Box.t ->
   horizon:float ->
   dt:float ->
@@ -24,11 +24,15 @@ val flow :
   unit ->
   result
 (** Integrate the projected gradient flow from [x0] for [horizon] time
-    units with RK4 steps of [dt]. [tol] (default [1e-8]) is used both for the
-    settling diagnosis and the final stationarity certificate. *)
+    units with RK4 steps of [dt]. [marginal s] is the whole vector
+    [u(s)], called once per field evaluation (four per step, one more
+    for the certificate), so a game whose marginals share one
+    equilibrium solve pays it once per profile. [tol] (default [1e-8])
+    is used both for the settling diagnosis and the final stationarity
+    certificate. *)
 
 val vector_field :
-  marginal:(int -> Numerics.Vec.t -> float) ->
+  marginal:(Numerics.Vec.t -> Numerics.Vec.t) ->
   box:Box.t ->
   Numerics.Vec.t ->
   Numerics.Vec.t

@@ -27,6 +27,8 @@ type t = {
   configs : Server.config array;
   jobs : int option;
   pids : int array;  (** 0 once reaped *)
+  reaped : Unix.process_status option array;
+      (** exits reaped by {!publish}, not yet seen by {!supervise} or {!wait} *)
 }
 
 let startup_failure = 1
@@ -63,7 +65,12 @@ let fork_child ?jobs cfg =
 
 let start ?jobs configs =
   let configs = Array.of_list configs in
-  { configs; jobs; pids = Array.map (fork_child ?jobs) configs }
+  {
+    configs;
+    jobs;
+    pids = Array.map (fork_child ?jobs) configs;
+    reaped = Array.make (Array.length configs) None;
+  }
 
 let signal t i s =
   let pid = t.pids.(i) in
@@ -71,7 +78,11 @@ let signal t i s =
 
 let rec wait t i =
   let pid = t.pids.(i) in
-  if pid <= 0 then None
+  if pid <= 0 then begin
+    let status = t.reaped.(i) in
+    t.reaped.(i) <- None;
+    status
+  end
   else
     match Unix.waitpid [] pid with
     | _, status ->
@@ -84,7 +95,22 @@ let rec wait t i =
 
 let respawn t i = t.pids.(i) <- fork_child ?jobs:t.jobs t.configs.(i)
 
-let await address =
+(* shard [i]'s exit, if it has exited: reaped without blocking and kept
+   for [supervise] *)
+let exited t i =
+  let pid = t.pids.(i) in
+  if pid > 0 then begin
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> ()
+    | _, status ->
+      t.pids.(i) <- 0;
+      t.reaped.(i) <- Some status
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error (_, _, _) -> t.pids.(i) <- 0
+  end;
+  t.pids.(i) <= 0
+
+let await_while ~alive address =
   let timeout_s = 10. in
   let deadline = Obs.Clock.now () +. timeout_s in
   let rec attempt () =
@@ -104,6 +130,10 @@ let await address =
     in
     match answer with
     | Ok _ as ok -> ok
+    | Error msg when not (alive ()) ->
+      Error
+        (Printf.sprintf "%s exited before answering: %s"
+           (Server.address_to_string address) msg)
     | Error msg when Obs.Clock.now () >= deadline ->
       Error
         (Printf.sprintf "%s did not answer within %.1fs: %s"
@@ -114,23 +144,22 @@ let await address =
   in
   attempt ()
 
+let await address = await_while ~alive:(fun () -> true) address
+
 let publish ~manifest t =
   match ring (Array.to_list t.configs) with
   | Error _ as e -> e
   | Ok r ->
-    let up =
-      Array.fold_left
-        (fun up (cfg : Server.config) ->
-          match await cfg.Server.address with
-          | Ok client ->
-            Client.close client;
-            up + 1
-          | Error msg ->
-            Obs.Log.error ~m:"fleet" msg;
-            up)
-        0 t.configs
-    in
-    Result.map (fun () -> up) (Shard.save_manifest ~path:manifest r)
+    let up = ref 0 in
+    Array.iteri
+      (fun i (cfg : Server.config) ->
+        match await_while ~alive:(fun () -> not (exited t i)) cfg.Server.address with
+        | Ok client ->
+          Client.close client;
+          incr up
+        | Error msg -> Obs.Log.error ~m:"fleet" msg)
+      t.configs;
+    Result.map (fun () -> !up) (Shard.save_manifest ~path:manifest r)
 
 type event =
   | Spawned of { shard : int; pid : int }
@@ -178,8 +207,28 @@ let supervise ?(on_event = ignore) ?(ready = ignore) ~restart t =
     Array.iteri (fun i p -> if p = pid then found := Some i) t.pids;
     !found
   in
+  let reaped shard status =
+    let failed = (not !stopped) && status <> Unix.WEXITED 0 in
+    let retire = failed && status = Unix.WEXITED startup_failure in
+    let restarting = failed && restart && not retire in
+    if failed then incr unexpected;
+    if retire then incr retired;
+    emit (Exited { shard; status; restarting });
+    if restarting then begin
+      respawn t shard;
+      (* a stop signal that landed during the fork missed this pid *)
+      if !stopped then signal t shard Sys.sigterm;
+      emit (Spawned { shard; pid = t.pids.(shard) })
+    end
+  in
   Array.iteri (fun shard pid -> if pid > 0 then emit (Spawned { shard; pid })) t.pids;
   ready ();
+  (* exits [publish] reaped while it awaited the shards *)
+  Array.iteri
+    (fun shard status ->
+      t.reaped.(shard) <- None;
+      Option.iter (reaped shard) status)
+    t.reaped;
   while Array.exists (fun pid -> pid > 0) t.pids do
     match Unix.waitpid [] (-1) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -191,17 +240,6 @@ let supervise ?(on_event = ignore) ?(ready = ignore) ~restart t =
       | None -> ()
       | Some shard ->
         t.pids.(shard) <- 0;
-        let failed = (not !stopped) && status <> Unix.WEXITED 0 in
-        let retire = failed && status = Unix.WEXITED startup_failure in
-        let restarting = failed && restart && not retire in
-        if failed then incr unexpected;
-        if retire then incr retired;
-        emit (Exited { shard; status; restarting });
-        if restarting then begin
-          respawn t shard;
-          (* a stop signal that landed during the fork missed this pid *)
-          if !stopped then signal t shard Sys.sigterm;
-          emit (Spawned { shard; pid = t.pids.(shard) })
-        end)
+        reaped shard status)
   done;
   { unexpected = !unexpected; retired = !retired; stopped = !stopped }

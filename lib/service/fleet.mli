@@ -40,7 +40,7 @@ val signal : t -> int -> int -> unit
 
 val wait : t -> int -> Unix.process_status option
 (** Block until shard [i] exits and reap it; [None] when it has no
-    live process. *)
+    live process. An exit {!publish} already reaped is returned once. *)
 
 val respawn : t -> int -> unit
 (** Fork shard [i] again on its own config (same socket, journal,
@@ -55,7 +55,11 @@ val publish : manifest:string -> t -> (int, string) result
 (** {!await} every shard (each failure is logged), then write the
     [fleet.v1] manifest of their {!ring} to [manifest], so a client
     that reads it can connect. [Ok n]: [n] shards answered. A shard
-    that did not stays in the manifest: the ring is static. *)
+    that did not stays in the manifest: the ring is static. Between
+    connection attempts the shard's process is polled without
+    blocking, so a shard that has exited (a startup failure) is given
+    up at once instead of after the 10 s timeout; its reaped exit is
+    kept for {!supervise}, which handles it as any other exit. *)
 
 type event =
   | Spawned of { shard : int; pid : int }
@@ -76,4 +80,5 @@ val supervise :
     retired. Every event is logged to {!Obs.Log}; [on_event] also
     hears it: [Spawned] for every live shard first, then each exit and
     respawn. [ready] runs once, after the signal handlers are in place
-    and before the first reap: the place to {!publish} the fleet. *)
+    and before the first reap: the place to {!publish} the fleet. Exits
+    that [publish] reaped are handled right after [ready] returns. *)

@@ -37,6 +37,17 @@ let test_gradient_flow_matches_nash () =
   check_true "near static Nash"
     (Vec.dist_inf flow.Gametheory.Gradient_dynamics.final static.Nash.subsidies < 1e-4)
 
+(* one Lemma-1 solve per profile: the flow's k RK4 steps evaluate the
+   vector of marginals 4k times, the stationarity certificate once *)
+let test_gradient_flow_solves_once_per_profile () =
+  let g = game () in
+  Numerics.Robust.reset_stats ();
+  let steps = 10 in
+  let horizon = 0.25 *. float_of_int steps in
+  let _ = Dynamics.gradient_flow ~horizon ~dt:0.25 g ~x0:(Vec.zeros 8) in
+  Alcotest.(check int) "root calls" ((4 * steps) + 1)
+    (Numerics.Robust.stats ()).Numerics.Robust.root_calls
+
 let test_compare_agrees () =
   let report = Dynamics.compare (game ()) in
   check_true "processes agree" report.Dynamics.agree
@@ -66,6 +77,8 @@ let suite =
       quick "br trace matches nash" test_br_trace_matches_nash;
       quick "br trace is nash solve" test_br_trace_is_nash_solve;
       quick "gradient flow matches nash" test_gradient_flow_matches_nash;
+      quick "gradient flow solves once per profile"
+        test_gradient_flow_solves_once_per_profile;
       quick "compare agrees" test_compare_agrees;
       quick "compare from interior" test_compare_from_interior_start;
       quick "solve_vi cross-validates" test_solve_vi_cross_validates;

@@ -110,37 +110,6 @@ let prop_corollary1_revenue_monotone_in_cap =
       in
       r_at 0.6 >= r_at 0.3 -. 1e-6)
 
-(* A market whose CPs each draw a demand family, a throughput family
-   and their parameters from their own Rng.split_n stream; the
-   utilization family and the capacity come from the parent stream. *)
-let family_market seed =
-  let rng = Rng.create (Int64.of_int seed) in
-  let n = 2 + Rng.int rng 5 in
-  let cp r =
-    let demand =
-      match Rng.int r 3 with
-      | 0 -> Econ.Demand.exponential ~alpha:(Rng.uniform r ~lo:1. ~hi:5.) ()
-      | 1 -> Econ.Demand.isoelastic ~alpha:(Rng.uniform r ~lo:1. ~hi:3.) ()
-      | _ ->
-        Econ.Demand.logit
-          ~midpoint:(Rng.uniform r ~lo:0.2 ~hi:1.)
-          ~slope:(Rng.uniform r ~lo:1. ~hi:5.) ()
-    in
-    let throughput =
-      match Rng.int r 3 with
-      | 0 -> Econ.Throughput.exponential ~beta:(Rng.uniform r ~lo:0.5 ~hi:4.) ()
-      | 1 -> Econ.Throughput.isoelastic ~beta:(Rng.uniform r ~lo:0.5 ~hi:3.) ()
-      | _ -> Econ.Throughput.rational ~beta:(Rng.uniform r ~lo:0.5 ~hi:4.) ()
-    in
-    Econ.Cp.make ~demand ~throughput ~value:(Rng.uniform r ~lo:0.2 ~hi:1.5) ()
-  in
-  let cps = Array.map cp (Rng.split_n rng n) in
-  let utilization =
-    [| Econ.Utilization.linear; Econ.Utilization.power 1.7; Econ.Utilization.log_family |]
-    .(Rng.int rng 3)
-  in
-  System.make ~utilization ~cps ~capacity:(Rng.uniform rng ~lo:0.5 ~hi:3.) ()
-
 (* How far apart two KKT-certified profiles of one market may lie. Near
    a regular equilibrium the marginals on the interior CPs F grow like
    J_FF (s_F - s*_F), so each profile sits within ||J_FF^-1||_inf times
@@ -167,7 +136,7 @@ let certified_distance game (eq : Nash.equilibrium) ~r_newton =
   Float.max 1e-8 spread
 
 let newton_agrees_with_best_response (seed, p, q, noise) =
-  let game = Subsidy_game.make (family_market seed) ~price:p ~cap:q in
+  let game = Subsidy_game.make (Fixtures.family_market seed) ~price:p ~cap:q in
   let eq = Nash.solve game in
   QCheck2.assume eq.Nash.converged;
   (* a predictor off the equilibrium by up to 5% of the box *)

@@ -139,6 +139,90 @@ let prop_theorem1_analytic_matches_fd =
       let analytic = System.dphi_dcapacity sys st in
       Float.abs (analytic -. numeric) <= 1e-4 *. (1. +. Float.abs analytic))
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* a family market whose CPs are also rescaled (Lemma 2), so the rate
+   scales l0 differ from 1 *)
+let rescaled_family_market seed =
+  let sys = Fixtures.family_market seed in
+  let rng = Rng.create (Int64.of_int (seed + 1)) in
+  let cps =
+    Array.map
+      (fun cp -> Econ.Cp.scale cp ~kappa:(Rng.uniform rng ~lo:0.2 ~hi:5.))
+      sys.System.cps
+  in
+  System.make ~utilization:sys.System.utilization ~cps ~capacity:sys.System.capacity ()
+
+let prop_fused_kernel_bit_identical =
+  prop "fused rate+slope kernel is bit-identical to rate and derivative" ~count:200
+    QCheck2.Gen.(pair Fixtures.qcheck_seed (float_range 0. 6.))
+    (fun (seed, phi) ->
+      let sys = rescaled_family_market seed in
+      let n = System.n_cps sys in
+      let rates = Array.make n Float.nan and slopes = Array.make n Float.nan in
+      let ok = ref true in
+      List.iter
+        (fun phi ->
+          Array.iteri
+            (fun i cp ->
+              let th = cp.Econ.Cp.throughput in
+              Econ.Throughput.rate_slope_into th phi ~rates ~slopes i;
+              ok :=
+                !ok
+                && same_bits rates.(i) (Econ.Throughput.rate th phi)
+                && same_bits slopes.(i) (Econ.Throughput.derivative th phi))
+            sys.System.cps)
+        [ 0.; phi ];
+      !ok)
+
+(* the state read from the root finder's last pass against everything
+   recomputed at the returned phi, in the kernels' own order *)
+let state_recomputed sys (st : System.state) =
+  let phi = st.System.phi in
+  let demand_slope = ref 0. and aggregate = ref 0. in
+  let rates_ok = ref true in
+  Array.iteri
+    (fun i cp ->
+      let m = st.System.populations.(i) in
+      let rate = Econ.Cp.rate cp phi in
+      rates_ok :=
+        !rates_ok
+        && same_bits st.System.rates.(i) rate
+        && same_bits st.System.throughputs.(i) (m *. rate);
+      aggregate := !aggregate +. (m *. rate);
+      demand_slope :=
+        !demand_slope +. (m *. Econ.Throughput.derivative cp.Econ.Cp.throughput phi))
+    sys.System.cps;
+  let gap_slope =
+    Econ.Utilization.dtheta_dphi sys.System.utilization ~phi ~mu:sys.System.capacity
+    -. !demand_slope
+  in
+  !rates_ok
+  && same_bits st.System.gap_slope gap_slope
+  && same_bits st.System.aggregate !aggregate
+
+let prop_solved_state_bit_identical =
+  prop "solved state is bit-identical to a recomputation at its phi" ~count:200
+    QCheck2.Gen.(triple Fixtures.qcheck_seed (float_range 0. 1.5) (float_range 1e-3 20.))
+    (fun (seed, price, guess) ->
+      let sys = rescaled_family_market seed in
+      let n = System.n_cps sys in
+      Array.for_all2 same_bits sys.System.rates_at_zero
+        (Array.map (fun cp -> Econ.Cp.rate cp 0.) sys.System.cps)
+      && state_recomputed sys
+           (System.solve ~phi_guess:guess sys ~charges:(Vec.make n price))
+      (* no demand at all: the market clears at phi = 0 with no root call *)
+      && state_recomputed sys (System.solve_fixed_populations sys ~populations:(Vec.zeros n)))
+
+let test_zero_demand_clears_without_root_call () =
+  let sys = Fixtures.paper5 () in
+  Robust.reset_stats ();
+  let st = System.solve_fixed_populations sys ~populations:(Vec.zeros (System.n_cps sys)) in
+  Alcotest.(check (float 0.)) "phi" 0. st.System.phi;
+  Alcotest.(check int) "no root call" 0 (Robust.stats ()).Robust.root_calls;
+  ignore (System.solve sys ~charges:(Fixtures.uniform_charges sys 0.5));
+  Alcotest.(check int) "one root call per solve" 1 (Robust.stats ()).Robust.root_calls
+
 let suite =
   ( "system",
     [
@@ -154,4 +238,8 @@ let suite =
       prop_equilibrium_unique_and_well_posed;
       prop_lemma2_scale_invariance;
       prop_theorem1_analytic_matches_fd;
+      prop_fused_kernel_bit_identical;
+      prop_solved_state_bit_identical;
+      quick "zero demand clears without a root call"
+        test_zero_demand_clears_without_root_call;
     ] )

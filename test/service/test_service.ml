@@ -1591,6 +1591,40 @@ let test_supervise_retires_startup_failure () =
   check_true "exited with the startup-failure code, not restarting"
     (exits = [ (0, Unix.WEXITED Fleet.startup_failure, false) ])
 
+(* a socket path beyond the 108-byte sun_path limit cannot be bound, so
+   the shard exits with the startup-failure code before it answers:
+   [publish] gives up on it as soon as it has exited, not after the
+   10 s await timeout, and [supervise] still retires it *)
+let test_publish_gives_up_on_an_exited_shard () =
+  let socket = Filename.concat (fresh_path (String.make 120 'x')) "s0.sock" in
+  let manifest = fresh_path ".json" in
+  let fleet = Fleet.start ~jobs:1 [ Sv.default_config ~address:(Sv.Unix_path socket) ] in
+  let finally () =
+    kill_all fleet ~shards:1;
+    if Sys.file_exists manifest then Sys.remove manifest
+  in
+  Fun.protect ~finally @@ fun () ->
+  let published = ref None in
+  let ready () =
+    let t0 = Obs.Clock.now () in
+    let up = Fleet.publish ~manifest fleet in
+    published := Some (up, Obs.Clock.elapsed ~since:t0)
+  in
+  let summary, spawns, exits = supervise_capped ~ready ~shards:1 ~restart:true fleet in
+  check_no_notes ();
+  (match !published with
+  | Some (Ok up, elapsed) ->
+    Alcotest.(check int) "0 of 1 shards up" 0 up;
+    check_true
+      (Printf.sprintf "gave up after %.2f s, well under the 10 s timeout" elapsed)
+      (elapsed < 3.)
+  | Some (Error msg, _) -> Alcotest.fail msg
+  | None -> Alcotest.fail "ready never ran");
+  Alcotest.(check int) "spawned exactly once" 1 spawns;
+  Alcotest.(check int) "retired" 1 summary.Fleet.retired;
+  check_true "the exit publish reaped reached supervise, not restarting"
+    (exits = [ (0, Unix.WEXITED Fleet.startup_failure, false) ])
+
 let suite =
   ( "service",
     [
@@ -1647,6 +1681,8 @@ let suite =
         test_supervise_sigterm_drains;
       quick "fleet: a shard that fails at startup is retired"
         test_supervise_retires_startup_failure;
+      quick "fleet: publish gives up on a shard that already exited"
+        test_publish_gives_up_on_an_exited_shard;
     ] )
 
 let () = Alcotest.run "service" [ suite ]
