@@ -78,6 +78,88 @@ let regenerate experiments =
   (!failures, List.rev !records)
 
 (* ------------------------------------------------------------------ *)
+(* stress: the two equilibrium solvers beyond the paper's market sizes.
+   N = 9, 50 and 200 CPs, each market's CPs drawn from their own
+   Rng.split_n streams, capacity N/3, p = 0.6, q = 1. Cold best
+   response from the zero profile, then the Newton corrector started
+   2% below the equilibrium best response found. bench.v1 only: one
+   record per solver and size, gated on its deterministic counts. *)
+
+let stress_id = "stress"
+let stress_sizes = [ 9; 50; 200 ]
+
+let stress_market rng n =
+  let cps = Array.map (fun r -> Subsidization.Scenario.random_cp r) (Numerics.Rng.split_n rng n) in
+  Subsidization.System.make ~cps ~capacity:(float_of_int n /. 3.) ()
+
+(* one stress record: the solver counters are reset first, so the
+   record describes [solve] alone *)
+let stress_record fig_id solve =
+  Numerics.Robust.reset_stats ();
+  Numerics.Ad.reset_stats ();
+  Numerics.Diff.reset_stats ();
+  Numerics.Continuation.reset_stats ();
+  let t0 = Obs.Clock.now () in
+  let eq = solve () in
+  let seconds = Obs.Clock.elapsed ~since:t0 in
+  let record =
+    {
+      fig_id;
+      seconds;
+      root_calls = (Numerics.Robust.stats ()).Numerics.Robust.root_calls;
+      objective_evaluations = Obs.Metrics.sum_histograms "solver.evaluations";
+      deriv_ad = (Numerics.Ad.stats ()).Numerics.Ad.passes;
+      deriv_fd = (Numerics.Diff.stats ()).Numerics.Diff.estimates;
+      continuation = Numerics.Continuation.stats ();
+      shared = None;
+    }
+  in
+  (eq, record)
+
+let stress () =
+  let streams = Numerics.Rng.split_n (Numerics.Rng.create 2014L) (List.length stress_sizes) in
+  let table =
+    Report.Table.make
+      ~columns:[ "solver"; "N"; "seconds"; "root calls"; "corrector iters"; "AD passes"; "KKT" ]
+  in
+  let row (eq : Subsidization.Nash.equilibrium) r n solver =
+    Report.Table.add_row table
+      [
+        solver;
+        string_of_int n;
+        Printf.sprintf "%.4f" r.seconds;
+        string_of_int r.root_calls;
+        Printf.sprintf "%.0f" r.continuation.Numerics.Continuation.corrector_iterations;
+        Printf.sprintf "%.0f" r.deriv_ad;
+        Printf.sprintf "%.1e" eq.Subsidization.Nash.kkt_residual;
+      ]
+  in
+  let records =
+    List.concat
+      (List.mapi
+         (fun k n ->
+           let sys = stress_market streams.(k) n in
+           let game () = Subsidization.Subsidy_game.make sys ~price:0.6 ~cap:1. in
+           let cold, br =
+             stress_record (Printf.sprintf "%s-br-n%d" stress_id n) (fun () ->
+                 Subsidization.Nash.solve (game ()))
+           in
+           let x0 = Numerics.Vec.map (fun s -> 0.98 *. s) cold.Subsidization.Nash.subsidies in
+           let corrected, newton =
+             stress_record (Printf.sprintf "%s-newton-n%d" stress_id n) (fun () ->
+                 Subsidization.Nash.correct ~x0 (game ()))
+           in
+           row cold br n "best response (cold)";
+           row corrected newton n "newton (2% off)";
+           [ br; newton ])
+         stress_sizes)
+  in
+  Printf.printf "\n%s\n" (String.make 66 '-');
+  print_endline "stress: cold best response vs the Newton corrector (p = 0.6, q = 1)";
+  print_endline (Report.Table.to_string table);
+  records
+
+(* ------------------------------------------------------------------ *)
 (* Part 2: bechamel timings *)
 
 let fig45_sys = Subsidization.Scenario.fig45_system ()
@@ -411,7 +493,8 @@ let () =
           (fun s ->
             figure_ids :=
               Some (List.filter (fun x -> x <> "") (String.split_on_char ',' s))),
-        "a,b,c  regenerate only these figure ids (skips the jobs comparison)" );
+        "a,b,c  regenerate only these figure ids, [stress] included (skips the \
+         jobs comparison)" );
       ("--no-bechamel", Arg.Set no_bechamel, "  skip the bechamel kernel timings");
       ( "--no-jobs-compare",
         Arg.Set no_jobs_compare,
@@ -444,8 +527,9 @@ let () =
     | None -> Experiments.Registry.all
     | Some ids ->
       let known =
-        List.map (fun (e : Experiments.Common.t) -> e.Experiments.Common.id)
-          Experiments.Registry.all
+        stress_id
+        :: List.map (fun (e : Experiments.Common.t) -> e.Experiments.Common.id)
+             Experiments.Registry.all
       in
       List.iter
         (fun id ->
@@ -460,6 +544,11 @@ let () =
         Experiments.Registry.all
   in
   let failures, figures = regenerate experiments in
+  let figures =
+    match !figure_ids with
+    | Some ids when not (List.mem stress_id ids) -> figures
+    | _ -> figures @ stress ()
+  in
   (* capture the pool counters of the main regeneration pass before the
      scaling comparison recreates the pool *)
   let pool_stats = Parallel.Runtime.stats () in

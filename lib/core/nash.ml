@@ -85,34 +85,24 @@ let natural_residual ~cap subsidies u =
 
 (* one semismooth Newton direction on the natural map: CPs the
    projection pins (s_i + u_i outside (0, q)) step to their bound, the
-   free ones solve J_FF d_F = -(u_F + J_FA d_A) *)
+   free ones solve J_FF d_F = -(u_F + J_FA d_A). With d still zero on
+   F, J_FA d_A is the rank-two coupling of d, and the free block is
+   solved by Woodbury: O(n), no matrix formed *)
 let newton_direction ~cap jac subsidies u =
   let n = Vec.dim subsidies in
   let d = Vec.zeros n in
-  let pinned = Array.make n true in
   let free = ref [] in
   for i = n - 1 downto 0 do
     let trial = subsidies.(i) +. u.(i) in
     if trial <= 0. then d.(i) <- -.subsidies.(i)
     else if trial >= cap then d.(i) <- cap -. subsidies.(i)
-    else begin
-      pinned.(i) <- false;
-      free := i :: !free
-    end
+    else free := i :: !free
   done;
   let free = Array.of_list !free in
   if Array.length free > 0 then begin
-    let rhs =
-      Array.map
-        (fun k ->
-          let acc = ref u.(k) in
-          for j = 0 to n - 1 do
-            if pinned.(j) then acc := !acc +. (Mat.get jac k j *. d.(j))
-          done;
-          -. !acc)
-        free
-    in
-    let step = Linalg.solve (Mat.submatrix jac ~row_idx:free ~col_idx:free) rhs in
+    let coupling = Rank2.couple jac d in
+    let rhs = Array.map (fun k -> -.(u.(k) +. coupling.(k))) free in
+    let step = Rank2.solve jac ~idx:free rhs in
     Array.iteri (fun idx k -> d.(k) <- step.(idx)) free
   end;
   d
@@ -225,9 +215,9 @@ let multistart_spread ?(starts = 5) rng game =
       0. rest
 
 let off_diagonal_monotone game ~subsidies =
-  let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
+  let j = Rank2.to_mat (Subsidy_game.marginal_jacobian_exact game ~subsidies) in
   Gametheory.Matrix_props.is_off_diagonally_nonnegative ~tol:1e-8 j
 
 let jacobian_is_p_matrix game ~subsidies =
-  let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
+  let j = Rank2.to_mat (Subsidy_game.marginal_jacobian_exact game ~subsidies) in
   Gametheory.Matrix_props.is_p_matrix ~tol:0. (Mat.scale (-1.) j)

@@ -43,7 +43,7 @@ val correct : x0:Numerics.Vec.t -> Subsidy_game.t -> equilibrium
     [s - P(s + u(s))] of [VI(-u, [0,q]^n)], from the predicted profile
     [x0] (clamped into the box). Each step pins the CPs the projection
     sends to a bound and solves [J_FF d_F = -(u_F + J_FA d_A)] over the
-    free ones with the exact Jacobian
+    free ones ({!newton_direction}) with the exact rank-two Jacobian
     ({!Subsidy_game.marginal_jacobian_exact}, built from the iterate's
     own utilization equilibrium), then backtracks on the sup-norm
     natural residual. It stops when that residual is at most 1e-11. A
@@ -54,6 +54,17 @@ val correct : x0:Numerics.Vec.t -> Subsidy_game.t -> equilibrium
     [continuation.fallbacks]; [sweeps] of a Newton answer is its step
     count. Theorem 4's P-matrix condition makes every [J_FF]
     nonsingular. Raises like {!solve}. *)
+
+val newton_direction :
+  cap:float -> Numerics.Rank2.t -> Numerics.Vec.t -> Numerics.Vec.t -> Numerics.Vec.t
+(** [newton_direction ~cap jac s u]: the corrector's step at profile
+    [s] with marginals [u] and Jacobian [jac]. A CP with [s_i + u_i]
+    outside [(0, q)] steps to that bound; the free set F solves
+    [J_FF d_F = -(u_F + J_FA d_A)] by Woodbury in O(n)
+    ({!Numerics.Rank2.solve}), so no matrix is formed. Raises
+    [Numerics.Linalg.Singular] when a free CP has a zero diagonal entry
+    or the 2x2 capacitance is singular or not finite; {!correct} then
+    hands the profile to best response. *)
 
 val solve_cell :
   Numerics.Continuation.track -> at:float -> Subsidy_game.t -> equilibrium
@@ -115,8 +126,9 @@ val multistart_spread :
 
 val off_diagonal_monotone : Subsidy_game.t -> subsidies:Numerics.Vec.t -> bool
 (** Whether [du_i/ds_j >= 0] for all [i <> j] at the profile (the
-    Corollary-1 Leontief stability condition), read off the exact
-    dual-number Jacobian {!Subsidy_game.marginal_jacobian_exact}. *)
+    Corollary-1 Leontief stability condition), read off the dense form
+    ({!Numerics.Rank2.to_mat}) of the exact Jacobian
+    {!Subsidy_game.marginal_jacobian_exact}. *)
 
 val jacobian_is_p_matrix : Subsidy_game.t -> subsidies:Numerics.Vec.t -> bool
 (** Whether [-grad_s u] is a P-matrix at the profile (exact Jacobian):

@@ -16,23 +16,23 @@ let partition ?tol game ~subsidies =
   }
 
 (* solve (grad_s~ u~) x = -forcing for the interior coordinates, with
-   the Jacobian [j] already in hand *)
+   the rank-two Jacobian [j] already in hand: Woodbury on its interior
+   block *)
 let interior_solve j (part : partition) ~forcing =
-  let a = Mat.submatrix j ~row_idx:part.interior ~col_idx:part.interior in
-  Linalg.solve a (Vec.map (fun b -> -.b) forcing)
+  Rank2.solve j ~idx:part.interior (Vec.map (fun b -> -.b) forcing)
 
-let ds_dq game ~subsidies =
+let ds_dq ?state game ~subsidies =
   let part = partition game ~subsidies in
   let n = Subsidy_game.dim game in
   let result = Vec.zeros n in
   Array.iter (fun i -> result.(i) <- 1.) part.upper;
   if Array.length part.interior > 0 then begin
-    let j = Subsidy_game.marginal_jacobian_exact game ~subsidies in
-    let forcing =
-      Array.map
-        (fun k -> Array.fold_left (fun acc jdx -> acc +. Mat.get j k jdx) 0. part.upper)
-        part.interior
-    in
+    let j = Subsidy_game.marginal_jacobian_exact ?state game ~subsidies in
+    (* the capped CPs move with q one for one: the forcing on an
+       interior CP is its row of J summed over them, the rank-two
+       coupling of the upper indicator [result] *)
+    let coupling = Rank2.couple j result in
+    let forcing = Array.map (fun k -> coupling.(k)) part.interior in
     let x = interior_solve j part ~forcing in
     Array.iteri (fun idx i -> result.(i) <- x.(idx)) part.interior
   end;
@@ -66,7 +66,8 @@ type policy_effect = {
 
 let policy_effect ?(dp_dq = 0.) game ~subsidies =
   let n = Subsidy_game.dim game in
-  let partial_q = ds_dq game ~subsidies in
+  let st = Subsidy_game.state game ~subsidies in
+  let partial_q = ds_dq ~state:st game ~subsidies in
   let partial_p =
     if
       (dp_dq = 0.
@@ -74,11 +75,10 @@ let policy_effect ?(dp_dq = 0.) game ~subsidies =
           "exact sentinel: 0. is the ?dp_dq default meaning no price \
            passthrough; any caller-supplied derivative is used verbatim"])
     then Vec.zeros n
-    else ds_dp game ~subsidies
+    else ds_dp ~state:st game ~subsidies
   in
   let ds_dq_total = Vec.axpy dp_dq partial_p partial_q in
   let dcharge_dq = Vec.init n (fun i -> dp_dq -. ds_dq_total.(i)) in
-  let st = Subsidy_game.state game ~subsidies in
   let sys = Subsidy_game.system game in
   let dpopulation_dq =
     Vec.init n (fun i ->

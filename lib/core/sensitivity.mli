@@ -18,17 +18,21 @@ type partition = {
 
 val partition : ?tol:float -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> partition
 
-val ds_dq : Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
+val ds_dq :
+  ?state:System.state -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
 (** Equation (11): the policy derivative of the equilibrium profile at
     fixed price — 0 on [N-], 1 on [N+],
-    [-Psi grad_{N+} u~ 1] on [N~]. Raises [Numerics.Linalg.Singular]
-    when the equilibrium is not regular. *)
+    [-Psi grad_{N+} u~ 1] on [N~]; [state] as in
+    {!Subsidy_game.resolve_state}. The interior solve is Woodbury on the
+    rank-two Jacobian, O(n). Raises [Numerics.Linalg.Singular] when the
+    interior block has a zero diagonal entry or a singular 2x2
+    capacitance ({!Numerics.Rank2.solve}). *)
 
 val ds_dp :
   ?state:System.state -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> Numerics.Vec.t
 (** Equation (12): the price derivative at fixed policy — 0 outside
     [N~], [-Psi du~/dp] on it; [state] as in
-    {!Subsidy_game.resolve_state}. *)
+    {!Subsidy_game.resolve_state}. Solved and raising like {!ds_dq}. *)
 
 (** {2 Policy effect with ISP price response (Theorem 8)} *)
 
@@ -47,7 +51,8 @@ type policy_effect = {
 val policy_effect :
   ?dp_dq:float -> Subsidy_game.t -> subsidies:Numerics.Vec.t -> policy_effect
 (** Evaluate Theorem 8 at an equilibrium. [dp_dq] defaults to 0 (fixed
-    or regulated price, the Corollary-1 regime). *)
+    or regulated price, the Corollary-1 regime). One Lemma-1 solve
+    serves {!ds_dq}, {!ds_dp} and the effect itself. *)
 
 val condition17_margin :
   Subsidy_game.t -> policy_effect -> state:System.state -> int -> float

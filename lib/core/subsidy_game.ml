@@ -147,47 +147,6 @@ let fused_marginal g i s si =
   let u = D2.((const (cp g i).Econ.Cp.value - make ~v:si ~d:1. ~dd:0.) * theta) in
   (D2.d u, D2.dd u)
 
-(* one column of the marginal-utility Jacobian, exactly: all n analytic
-   marginals evaluated in dual arithmetic seeded on s_j (one
-   first-order kernel pass over the solved state [st]) *)
-let column_d g (st : System.state) ~subsidies j =
-  Ad.record_pass ();
-  let n = dim g in
-  let t_j = Dual.make ~v:st.System.charges.(j) ~d:(-1.) in
-  let pops =
-    Array.init n (fun k ->
-        if k = j then Econ.Cp.population_d (cp g k) t_j
-        else Dual.const st.System.populations.(k))
-  in
-  let phi =
-    System.phi_d g.system ~populations:pops ~phi:st.System.phi
-      ~gap_slope:st.System.gap_slope
-  in
-  let slope = System.gap_slope_d g.system pops phi in
-  Array.init n (fun k ->
-      let cpk = cp g k in
-      let t_k = if k = j then t_j else Dual.const st.System.charges.(k) in
-      let s_k =
-        if k = j then Dual.var subsidies.(j) else Dual.const subsidies.(k)
-      in
-      let m_k = pops.(k) in
-      let rate_k = Econ.Cp.rate_d cpk phi in
-      let pop_slope_k = Econ.Demand.slope_d cpk.Econ.Cp.demand t_k in
-      let rate_slope_k = Econ.Throughput.slope_d cpk.Econ.Cp.throughput phi in
-      let dphi_dsub_k = Dual.(neg pop_slope_k * rate_k / slope) in
-      let margin = Dual.(const cpk.Econ.Cp.value - s_k) in
-      let direct = Dual.neg Dual.(m_k * rate_k) in
-      let demand_gain = Dual.(neg pop_slope_k * rate_k) in
-      let congestion_loss = Dual.(m_k * rate_slope_k * dphi_dsub_k) in
-      Dual.(direct + (margin * (demand_gain + congestion_loss))))
-
-let marginal_utilities_d g ~subsidies j =
-  check_subsidies g subsidies;
-  Numerics.Precondition.require ~fn:"Subsidy_game.marginal_utilities_d"
-    (j >= 0 && j < dim g)
-    "CP index out of range";
-  column_d g (state g ~subsidies) ~subsidies j
-
 (* all n analytic marginals as duals seeded on the ISP price p (every
    charge moves together): the exact [du/dp] column of the Theorem-6
    sensitivity forcing term *)
@@ -215,11 +174,55 @@ let marginal_utilities_dp ?state g ~subsidies =
       let congestion_loss = Dual.(m_k * rate_slope_k * dphi_dsub_k) in
       Dual.(direct + (margin * (demand_gain + congestion_loss))))
 
+(* The marginal-utility Jacobian du_k/ds_j in its rank-two form.
+   With t_k = p - s_k, M_k = v_k - s_k, G = g'(phi), demand derivatives
+   m, m', m'' in t and rate derivatives lambda, lambda', lambda'' in phi,
+     u_k = -m_k lambda_k - M_k m_k' lambda_k - M_k m_k m_k' lambda_k lambda_k' / G
+   depends on s_j (j <> k) only through phi and G, which move by
+     dphi/ds_j = w_j = -m_j' lambda_j / G
+     dG/ds_j = H w_j + z_j,  z_j = lambda_j' m_j',  H = Theta'' - sum m_i lambda_i''
+   so du_k/ds_j = a_k w_j + b_k z_j with b_k = du_k/dG and
+   a_k = du_k/dphi + b_k H; the diagonal adds e_k, the derivative
+   through t_k and M_k at fixed phi and G. One second-order kernel pass
+   per CP (demand in t, rate in phi) gives every factor. *)
 let marginal_jacobian_exact ?state g ~subsidies =
   let st = resolve_state ?state g ~subsidies in
+  Ad.record_pass ();
   let n = dim g in
-  let cols = Array.init n (fun j -> column_d g st ~subsidies j) in
-  Mat.init ~rows:n ~cols:n (fun k j -> Dual.d cols.(j).(k))
+  let gs = st.System.gap_slope in
+  let phi = D2.make ~v:st.System.phi ~d:1. ~dd:0. in
+  let supply =
+    Econ.Utilization.theta_of_d2 g.system.System.utilization ~phi
+      ~mu:g.system.System.capacity
+  in
+  let pops =
+    Array.init n (fun k ->
+        Econ.Cp.population_d2 (cp g k) (D2.make ~v:st.System.charges.(k) ~d:1. ~dd:0.))
+  in
+  let rates = Array.init n (fun k -> Econ.Cp.rate_d2 (cp g k) phi) in
+  let h = ref (D2.dd supply) in
+  Array.iteri (fun k m -> h := !h -. (D2.v m *. D2.dd rates.(k))) pops;
+  let h = !h in
+  let diag = Array.create_float n and a = Array.create_float n and w = Array.create_float n in
+  let b = Array.create_float n and z = Array.create_float n in
+  for k = 0 to n - 1 do
+    let m = D2.v pops.(k) and m1 = D2.d pops.(k) and m2 = D2.dd pops.(k) in
+    let l = D2.v rates.(k) and l1 = D2.d rates.(k) and l2 = D2.dd rates.(k) in
+    let margin = (cp g k).Econ.Cp.value -. subsidies.(k) in
+    w.(k) <- -.m1 *. l /. gs;
+    z.(k) <- l1 *. m1;
+    b.(k) <- margin *. m *. m1 *. l *. l1 /. (gs *. gs);
+    a.(k) <-
+      -.(m *. l1)
+      -. (margin *. m1 *. l1)
+      -. (margin *. m *. m1 *. ((l1 *. l1) +. (l *. l2)) /. gs)
+      +. (b.(k) *. h);
+    diag.(k) <-
+      (2. *. m1 *. l)
+      +. (margin *. m2 *. l)
+      +. (((m *. m1) +. (margin *. m1 *. m1) +. (margin *. m *. m2)) *. l *. l1 /. gs)
+  done;
+  { Rank2.diag; a; w; b; z }
 
 let to_game ?respond_points ?(fused = true) g =
   Gametheory.Best_response.make

@@ -79,12 +79,6 @@ val fused_marginal : t -> int -> Numerics.Vec.t -> float -> float * float
     ({!System.phi_d2}). The fused Newton objective of the continuation
     best response. *)
 
-val marginal_utilities_d :
-  t -> subsidies:Numerics.Vec.t -> int -> Numerics.Dual.t array
-(** [marginal_utilities_d g ~subsidies j]: all [n] analytic marginal
-    utilities as dual numbers seeded on [s_j] — primal values plus the
-    exact Jacobian column [du_k/ds_j]. One warm primal solve. *)
-
 val marginal_utilities_dp :
   ?state:System.state -> t -> subsidies:Numerics.Vec.t -> Numerics.Dual.t array
 (** All [n] marginal utilities as duals seeded on the ISP price (every
@@ -92,11 +86,16 @@ val marginal_utilities_dp :
     [du_k/dp] — the Theorem-6/8 forcing term without a price stencil. *)
 
 val marginal_jacobian_exact :
-  ?state:System.state -> t -> subsidies:Numerics.Vec.t -> Numerics.Mat.t
-(** The full marginal-utility Jacobian [du_i/ds_j]: [n] column passes
-    over one utilization equilibrium (one Lemma-1 solve, none with
-    [state]) — the Theorem-6 sensitivity input and the Newton
-    corrector's step matrix, exact instead of stenciled. *)
+  ?state:System.state -> t -> subsidies:Numerics.Vec.t -> Numerics.Rank2.t
+(** The marginal-utility Jacobian [du_k/ds_j], exactly, in its
+    rank-two form [diag(e) + a w^T + b z^T]: a CP's marginal depends on
+    the others' subsidies only through the utilization [phi] and the
+    gap slope [G = g'(phi)], with [w_j = dphi/ds_j = -m_j' lambda_j / G]
+    and [z_j = lambda_j' m_j']. Built in O(n) from one utilization
+    equilibrium (one Lemma-1 solve, none with [state]) and one
+    second-order kernel pass per CP, counted as one AD pass. The
+    Theorem-6 sensitivity input and the Newton corrector's step
+    matrix; {!Numerics.Rank2.to_mat} gives the dense matrix. *)
 
 val to_game :
   ?respond_points:int -> ?fused:bool -> t -> Gametheory.Best_response.game

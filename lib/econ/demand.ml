@@ -3,17 +3,16 @@ type spec =
   | Isoelastic of { m0 : float; alpha : float; scale : float }
   | Logit of { m0 : float; slope : float; midpoint : float }
 
-type t = { spec : spec; f : float -> float; df : float -> float }
+type t = { spec : spec }
 
 let positive name x =
   if x <= 0. || not (Float.is_finite x) then
     invalid_arg (Printf.sprintf "Demand: %s must be positive and finite, got %g" name x)
 
 (* The single source of truth for every family: one kernel over the
-   scalar field, evaluated in floats for the hot path and in dual
-   numbers for exact derivatives. Branches are on the primal, and the
-   float instance reproduces the legacy closures' operation order
-   exactly. *)
+   scalar field, evaluated in dual numbers for exact derivatives and
+   matched bit for bit by the float code below. Branches are on the
+   primal. *)
 module Kernel (F : Numerics.Field.S) = struct
   open F
 
@@ -46,11 +45,8 @@ module Kernel (F : Numerics.Field.S) = struct
       neg (const m0) * const slope * s * (const 1. - s)
 end
 
-module K_float = Kernel (Numerics.Field.Float_s)
 module K_dual = Kernel (Numerics.Dual)
 module K_dual2 = Kernel (Numerics.Dual.Order2)
-
-let closures spec = ((fun t -> K_float.population spec t), fun t -> K_float.slope spec t)
 
 let validate = function
   | Exponential { m0; alpha } ->
@@ -67,8 +63,7 @@ let validate = function
 
 let make spec =
   validate spec;
-  let f, df = closures spec in
-  { spec; f; df }
+  { spec }
 
 let spec d = d.spec
 
@@ -76,21 +71,43 @@ let exponential ?(m0 = 1.) ~alpha () = make (Exponential { m0; alpha })
 let isoelastic ?(m0 = 1.) ?(scale = 1.) ~alpha () = make (Isoelastic { m0; alpha; scale })
 let logit ?(m0 = 1.) ?(midpoint = 1.) ~slope () = make (Logit { m0; slope; midpoint })
 
-let population d t = d.f t
-let derivative d t = d.df t
+(* The float kernels, per family, without the functor's closure calls
+   (not inlined without flambda): [Kernel]'s operations in its order,
+   branches included, so every value is bit-identical to
+   [Kernel (Field.Float_s)]. *)
+let softplus x = if x > 30. then x else log1p (exp x)
+
+let sigmoid x = if x > 0. then 1. /. (1. +. exp (-.x)) else exp x /. (1. +. exp x)
+
+let population d t =
+  match d.spec with
+  | Exponential { m0; alpha } -> m0 *. exp (-.alpha *. t)
+  | Isoelastic { m0; alpha; scale } -> m0 *. Float.pow (1. +. softplus (t /. scale)) (-.alpha)
+  | Logit { m0; slope; midpoint } -> m0 *. (1. -. sigmoid (slope *. (t -. midpoint)))
+
+let derivative d t =
+  match d.spec with
+  | Exponential { m0; alpha } -> -.alpha *. m0 *. exp (-.alpha *. t)
+  | Isoelastic { m0; alpha; scale } ->
+    let u = 1. +. softplus (t /. scale) in
+    -.alpha *. m0 *. Float.pow u (-.alpha -. 1.) *. sigmoid (t /. scale) /. scale
+  | Logit { m0; slope; midpoint } ->
+    let s = sigmoid (slope *. (t -. midpoint)) in
+    -.m0 *. slope *. s *. (1. -. s)
+
 let population_d d t = K_dual.population d.spec t
 let slope_d d t = K_dual.slope d.spec t
 let population_d2 d t = K_dual2.population d.spec t
 
 let elasticity d t =
-  let m = d.f t in
+  let m = population d t in
   if
     (m = 0.
     [@sublint.allow "NO-FLOAT-EQ"
         "exact division guard: the elasticity below divides by m; only an \
          exactly-zero population is undefined"])
   then invalid_arg "Demand.elasticity: zero population";
-  d.df t *. t /. m
+  derivative d t *. t /. m
 
 let scale_population d ~kappa =
   positive "kappa" kappa;

@@ -23,8 +23,8 @@ type spec =
 type t
 
 val make : spec -> t
-(** Validates parameters ([m0 > 0] and positive shape parameters) and
-    precomputes closures. Raises [Invalid_argument]. *)
+(** Validates parameters ([m0 > 0] and positive shape parameters).
+    Raises [Invalid_argument]. *)
 
 val spec : t -> spec
 
@@ -34,6 +34,15 @@ val exponential : ?m0:float -> alpha:float -> unit -> t
 val isoelastic : ?m0:float -> ?scale:float -> alpha:float -> unit -> t
 
 val logit : ?m0:float -> ?midpoint:float -> slope:float -> unit -> t
+
+module Kernel (F : Numerics.Field.S) : sig
+  val population : spec -> F.t -> F.t
+  val slope : spec -> F.t -> F.t
+end
+(** Every family written once over a scalar field, branching on the
+    primal. The dual evaluators below run it; {!population} and
+    {!derivative} are direct float code with its operations in its
+    order, bit-identical to [Kernel (Numerics.Field.Float_s)]. *)
 
 val population : t -> float -> float
 (** [population d t = m(t)]. *)

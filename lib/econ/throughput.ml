@@ -3,16 +3,15 @@ type spec =
   | Isoelastic of { l0 : float; beta : float }
   | Rational of { l0 : float; beta : float }
 
-type t = { spec : spec; f : float -> float; df : float -> float }
+type t = { spec : spec }
 
 let positive name x =
   if x <= 0. || not (Float.is_finite x) then
     invalid_arg (Printf.sprintf "Throughput: %s must be positive and finite, got %g" name x)
 
-(* One kernel over the scalar field per family: the float closures and
-   the dual-number evaluators share it, so derivatives are exact by
-   construction. [Kernel (Field.Float_s)] matches the legacy closures'
-   operation order exactly. *)
+(* One kernel over the scalar field per family: the dual-number
+   evaluators run it, so derivatives are exact by construction, and the
+   float code below matches it bit for bit. *)
 module Kernel (F : Numerics.Field.S) = struct
   open F
 
@@ -33,11 +32,8 @@ module Kernel (F : Numerics.Field.S) = struct
       neg (const l0) * const beta / (d * d)
 end
 
-module K_float = Kernel (Numerics.Field.Float_s)
 module K_dual = Kernel (Numerics.Dual)
 module K_dual2 = Kernel (Numerics.Dual.Order2)
-
-let closures spec = ((fun phi -> K_float.rate spec phi), fun phi -> K_float.slope spec phi)
 
 let validate = function
   | Exponential { l0; beta } | Isoelastic { l0; beta } | Rational { l0; beta } ->
@@ -46,8 +42,7 @@ let validate = function
 
 let make spec =
   validate spec;
-  let f, df = closures spec in
-  { spec; f; df }
+  { spec }
 
 let spec th = th.spec
 
@@ -59,19 +54,29 @@ let check_phi phi =
   if phi < 0. || not (Float.is_finite phi) then
     invalid_arg (Printf.sprintf "Throughput: utilization %g out of range" phi)
 
+(* The float kernels, per family, without the functor's closure calls
+   (not inlined without flambda): [Kernel]'s operations in its order,
+   so every value is bit-identical to [Kernel (Field.Float_s)]. *)
 let rate th phi =
   check_phi phi;
-  th.f phi
+  match th.spec with
+  | Exponential { l0; beta } -> l0 *. exp (-.beta *. phi)
+  | Isoelastic { l0; beta } -> l0 *. Float.pow (1. +. phi) (-.beta)
+  | Rational { l0; beta } -> l0 /. (1. +. (beta *. phi))
 
 let derivative th phi =
   check_phi phi;
-  th.df phi
+  match th.spec with
+  | Exponential { l0; beta } -> -.beta *. l0 *. exp (-.beta *. phi)
+  | Isoelastic { l0; beta } -> -.beta *. l0 *. Float.pow (1. +. phi) (-.beta -. 1.)
+  | Rational { l0; beta } ->
+    let d = 1. +. (beta *. phi) in
+    -.l0 *. beta /. (d *. d)
 
 (* the Lemma-1 Newton pass needs rate and slope at every iterate: one
-   direct float evaluation writes both, without the functor's calls.
-   The operations are [K_float]'s, in its order, so both values are
-   bit-identical to [rate] and [derivative]; the exponential shares
-   its one [exp] and the rational its denominator. *)
+   evaluation writes both, bit-identical to [rate] and [derivative];
+   the exponential shares its one [exp] and the rational its
+   denominator. *)
 let rate_slope_into th phi ~rates ~slopes i =
   check_phi phi;
   match th.spec with
@@ -101,15 +106,14 @@ let rate_d2 th phi =
   K_dual2.rate th.spec phi
 
 let elasticity th phi =
-  check_phi phi;
-  let l = th.f phi in
+  let l = rate th phi in
   if
     (l = 0.
     [@sublint.allow "NO-FLOAT-EQ"
         "exact division guard: the elasticity below divides by l; only an \
          exactly-zero rate is undefined"])
   then invalid_arg "Throughput.elasticity: zero rate";
-  th.df phi *. phi /. l
+  derivative th phi *. phi /. l
 
 let scale_rate th ~kappa =
   positive "kappa" kappa;

@@ -28,6 +28,15 @@ val isoelastic : ?l0:float -> beta:float -> unit -> t
 
 val rational : ?l0:float -> beta:float -> unit -> t
 
+module Kernel (F : Numerics.Field.S) : sig
+  val rate : spec -> F.t -> F.t
+  val slope : spec -> F.t -> F.t
+end
+(** Every family written once over a scalar field. The dual evaluators
+    below run it; {!rate}, {!derivative} and {!rate_slope_into} are
+    direct float code with its operations in its order, bit-identical
+    to [Kernel (Numerics.Field.Float_s)]. *)
+
 val rate : t -> float -> float
 (** [rate th phi = lambda(phi)]. Requires [phi >= 0]. *)
 

@@ -126,8 +126,9 @@ let certified_distance game (eq : Nash.equilibrium) ~r_newton =
     if free = [||] then 0.
     else
       let jac =
-        Subsidy_game.marginal_jacobian_exact ~state:eq.Nash.state game
-          ~subsidies:eq.Nash.subsidies
+        Rank2.to_mat
+          (Subsidy_game.marginal_jacobian_exact ~state:eq.Nash.state game
+             ~subsidies:eq.Nash.subsidies)
       in
       match Linalg.inverse (Mat.submatrix jac ~row_idx:free ~col_idx:free) with
       | inv -> Mat.norm_inf inv *. (r_newton +. eq.Nash.kkt_residual)
@@ -193,6 +194,22 @@ let test_newton_counts_corrector_steps () =
   check_close "steps on the corrector counter" (before +. float_of_int eq.Nash.sweeps) (iters ());
   check_true "certified" (eq.Nash.kkt_residual <= 1e-9)
 
+let test_newton_step_singular_free_diagonal () =
+  (* both CPs are free (0 < s_i + u_i < q); CP 0's diagonal entry is 0,
+     so the free block has no Woodbury factorization *)
+  let jac =
+    {
+      Rank2.diag = [| 0.; -1. |];
+      a = [| 0.3; 0.1 |];
+      w = [| 0.2; 0.4 |];
+      b = [| 0.05; 0.02 |];
+      z = [| 0.1; 0.3 |];
+    }
+  in
+  match Nash.newton_direction ~cap:1. jac [| 0.5; 0.5 |] [| 0.1; -0.1 |] with
+  | _ -> Alcotest.fail "expected Linalg.Singular"
+  | exception Linalg.Singular -> ()
+
 let suite =
   ( "nash",
     [
@@ -207,6 +224,8 @@ let suite =
       quick "theorem 5" test_theorem5_value_monotonicity;
       quick "newton falls back" test_newton_falls_back;
       quick "newton counts corrector steps" test_newton_counts_corrector_steps;
+      quick "newton step: zero free diagonal is singular"
+        test_newton_step_singular_free_diagonal;
       prop_nash_kkt_on_random_games;
       prop_newton_corrector_agrees_with_best_response;
       quick "newton agrees on an ill-conditioned market"

@@ -24,7 +24,7 @@ let test_partition_matches_classes () =
 
 let test_jacobian_shape_and_symmetry_of_diagonal_sign () =
   let game, eq = solved_game () in
-  let j = Subsidy_game.marginal_jacobian_exact game ~subsidies:eq.Nash.subsidies in
+  let j = Rank2.to_mat (Subsidy_game.marginal_jacobian_exact game ~subsidies:eq.Nash.subsidies) in
   Alcotest.(check int) "square" (Subsidy_game.dim game) (Mat.rows j);
   (* utilities are locally concave at interior first-order points (the
      corners can sit on convex stretches, so only check the interior) *)

@@ -83,6 +83,46 @@ let prop_elasticity_matches_numeric =
       let numeric = Numerics.Diff.central m t *. t /. m t in
       Float.abs (Econ.Demand.elasticity d t -. numeric) < 1e-4)
 
+(* the direct float kernels against the field-generic kernel at
+   floats, bit for bit: every family, charges on both sides of the
+   sigmoid's branch and past the softplus cut-over (t / scale > 30) *)
+module K_float = Econ.Demand.Kernel (Numerics.Field.Float_s)
+
+let prop_direct_kernel_bit_identical =
+  let spec =
+    QCheck2.Gen.(
+      map
+        (fun (family, (m0, p1, p2)) ->
+          match family with
+          | 0 -> Econ.Demand.Exponential { m0; alpha = p1 }
+          | 1 -> Econ.Demand.Isoelastic { m0; alpha = p1; scale = p2 }
+          | _ -> Econ.Demand.Logit { m0; slope = p1; midpoint = p2 })
+        (pair (int_bound 2)
+           (triple (float_range 0.1 3.) (float_range 0.2 6.) (float_range 0.2 3.))))
+  in
+  (* the charge in units of the isoelastic scale, so a third of the
+     draws straddle the softplus cut-over *)
+  let charge =
+    QCheck2.Gen.(oneof [ float_range (-5.) 5.; float_range 25. 35.; float_range (-50.) 1000. ])
+  in
+  let point =
+    QCheck2.Gen.map
+      (fun (spec, r) ->
+        match spec with
+        | Econ.Demand.Isoelastic { scale; _ } -> (spec, r *. scale)
+        | _ -> (spec, r))
+      (QCheck2.Gen.pair spec charge)
+  in
+  prop "direct float kernel is bit-identical to Kernel (Float_s)" ~count:500
+    ~print:(fun (spec, t) ->
+      Printf.sprintf "%s at t = %.17g" (Econ.Demand.label (Econ.Demand.make spec)) t)
+    point
+    (fun (spec, t) ->
+      let d = Econ.Demand.make spec in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same (Econ.Demand.population d t) (K_float.population spec t)
+      && same (Econ.Demand.derivative d t) (K_float.slope spec t))
+
 let suite =
   ( "demand",
     [
@@ -94,4 +134,5 @@ let suite =
       quick "labels" test_labels;
       prop_exponential_elasticity;
       prop_elasticity_matches_numeric;
+      prop_direct_kernel_bit_identical;
     ] )

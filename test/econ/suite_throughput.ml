@@ -66,6 +66,32 @@ let prop_rational_halves_at_inverse_beta =
       let th = Econ.Throughput.rational ~beta () in
       Float.abs (Econ.Throughput.rate th (1. /. beta) -. 0.5) < 1e-9)
 
+(* the direct float kernels against the field-generic kernel at
+   floats, bit for bit, for every family *)
+module K_float = Econ.Throughput.Kernel (Numerics.Field.Float_s)
+
+let prop_direct_kernel_bit_identical =
+  let spec =
+    QCheck2.Gen.(
+      map
+        (fun (family, l0, beta) ->
+          match family with
+          | 0 -> Econ.Throughput.Exponential { l0; beta }
+          | 1 -> Econ.Throughput.Isoelastic { l0; beta }
+          | _ -> Econ.Throughput.Rational { l0; beta })
+        (triple (int_bound 2) (float_range 0.1 3.) (float_range 0.2 6.)))
+  in
+  let utilization = QCheck2.Gen.(oneof [ return 0.; float_range 0. 3.; float_range 0. 500. ]) in
+  prop "direct float kernel is bit-identical to Kernel (Float_s)" ~count:500
+    ~print:(fun (spec, phi) ->
+      Printf.sprintf "%s at phi = %.17g" (Econ.Throughput.label (Econ.Throughput.make spec)) phi)
+    (QCheck2.Gen.pair spec utilization)
+    (fun (spec, phi) ->
+      let th = Econ.Throughput.make spec in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      same (Econ.Throughput.rate th phi) (K_float.rate spec phi)
+      && same (Econ.Throughput.derivative th phi) (K_float.slope spec phi))
+
 let suite =
   ( "throughput",
     [
@@ -75,4 +101,5 @@ let suite =
       quick "lemma-2 scaling" test_scaling;
       quick "spec roundtrip" test_spec_roundtrip;
       prop_rational_halves_at_inverse_beta;
+      prop_direct_kernel_bit_identical;
     ] )

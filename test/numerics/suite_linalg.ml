@@ -111,6 +111,44 @@ let prop_inverse_roundtrip =
       let a = random_invertible rng n in
       Mat.approx_equal ~tol:1e-8 (Mat.matmul (Linalg.inverse a) a) (Mat.identity n))
 
+(* a diagonal-plus-rank-two matrix with a dominant diagonal *)
+let random_rank2 rng n =
+  let v () = Vec.init n (fun _ -> Rng.uniform rng ~lo:(-0.5) ~hi:0.5) in
+  { Rank2.diag = Vec.init n (fun _ -> 3. +. Rng.float rng); a = v (); w = v (); b = v (); z = v () }
+
+let prop_rank2_matches_dense =
+  prop "rank-two: couple and block solve match the dense matrix" ~count:100 rng_gen
+    (fun rng ->
+      let n = 2 + Rng.int rng 7 in
+      let m = random_rank2 rng n in
+      let dense = Rank2.to_mat m in
+      let x = Vec.init n (fun _ -> Rng.uniform rng ~lo:(-2.) ~hi:2.) in
+      let off_diagonal = Mat.matvec (Mat.sub dense (Mat.diag m.Rank2.diag)) x in
+      let idx = Array.of_list (List.filter (fun _ -> Rng.int rng 3 > 0) (List.init n Fun.id)) in
+      let idx = if idx = [||] then [| 0 |] else idx in
+      let block = Mat.submatrix dense ~row_idx:idx ~col_idx:idx in
+      let r = Vec.init (Array.length idx) (fun _ -> Rng.uniform rng ~lo:(-1.) ~hi:1.) in
+      Vec.dist_inf (Rank2.couple m x) off_diagonal <= 1e-12
+      && Vec.dist_inf (Rank2.solve m ~idx r) (Linalg.solve block r) <= 1e-12)
+
+let test_rank2_singular () =
+  let m =
+    { Rank2.diag = [| 2.; 0.; 1. |]; a = [| 1.; 0.; 0. |]; w = [| 0.; 0.; 1. |];
+      b = [| 0.; 0.; 0. |]; z = [| 0.; 0.; 0. |] }
+  in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Linalg.Singular" name
+    | exception Linalg.Singular -> ()
+  in
+  raises "zero diagonal in the block" (fun () -> Rank2.solve m ~idx:[| 0; 1 |] [| 1.; 1. |]);
+  (* outside the block the zero does not matter *)
+  check_close "block without it" 0.5 (Rank2.solve m ~idx:[| 0 |] [| 1. |]).(0);
+  (* over the block {0, 2}, I + a w^T is [[1, 1], [0, 0]]: the
+     capacitance 1 + w^T D^-1 a is 0 *)
+  let m = { m with Rank2.diag = [| 1.; 1.; 1. |]; a = [| 1.; 0.; -1. |]; w = [| 0.; 0.; 1. |] } in
+  raises "singular capacitance" (fun () -> Rank2.solve m ~idx:[| 0; 2 |] [| 1.; 1. |])
+
 let suite =
   ( "linalg",
     [
@@ -127,4 +165,6 @@ let suite =
       prop_solve_roundtrip;
       prop_det_product;
       prop_inverse_roundtrip;
+      prop_rank2_matches_dense;
+      quick "rank-two singular blocks" test_rank2_singular;
     ] )
