@@ -442,6 +442,11 @@ let run_diff ~baseline_path ~baseline ~current =
     print_endline "==================================================================";
     print_endline (Report.Table.to_string (Obs.Bench_diff.table report));
     print_endline (Obs.Bench_diff.summary report);
+    if Obs.Bench_diff.stale report <> [] then
+      Printf.eprintf
+        "bench: %s records more solver work than this code does; regenerate it \
+         with `bench --jobs 1 --json %s`\n"
+        baseline_path baseline_path;
     if Obs.Bench_diff.ok report then 0 else 1
 
 let () =

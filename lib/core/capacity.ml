@@ -36,7 +36,7 @@ let optimal ?(mu_lo = 0.05) ?(mu_hi = 10.) ?(points = 13) sys ~pricing ~cap ~uni
      price scans at nearby mu visit nearby equilibria *)
   let track = Numerics.Continuation.track () in
   let profit_at mu = (evaluate ~track sys ~pricing ~cap ~unit_cost ~capacity:mu).profit in
-  let r = Numerics.Optimize.grid_then_golden ~points ~tol:1e-3 profit_at ~lo:mu_lo ~hi:mu_hi in
+  let r = Numerics.Optimize.grid_then_brent ~points ~tol:1e-3 profit_at ~lo:mu_lo ~hi:mu_hi in
   evaluate ~track sys ~pricing ~cap ~unit_cost ~capacity:r.Numerics.Optimize.x
 
 let investment_incentive ?mu_lo ?mu_hi ?pool sys ~pricing ~unit_cost ~caps =

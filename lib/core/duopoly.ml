@@ -186,5 +186,5 @@ let monopoly_benchmark ?(p_max = 2.5) ?(points = 25) d =
     let m = market_at d ~prices:(p, p) in
     fst m.revenues +. snd m.revenues
   in
-  let r = Optimize.grid_then_golden ~points ~tol:1e-4 revenue ~lo:0. ~hi:p_max in
+  let r = Optimize.grid_then_brent ~points ~tol:1e-4 revenue ~lo:0. ~hi:p_max in
   market_at d ~prices:(r.Optimize.x, r.Optimize.x)

@@ -97,13 +97,17 @@ val solve_vi :
   Subsidy_game.t ->
   equilibrium
 (** Alternative solver: Korpelevich extragradient iteration on the
-    equivalent variational inequality [VI(-u, [0,q]^n)]. Slower than
-    iterated best response on this game (it does not exploit the
-    one-dimensional structure of each player's problem) but derivative-
-    driven and sweep-free; used to cross-validate equilibria and in the
-    solver ablation benchmark. The returned [sweeps] counts
-    extragradient iterations. When the iteration budget runs out, the
-    result is the projected start [x0] with [converged = false]. *)
+    equivalent variational inequality [VI(-u, [0,q]^n)]
+    ({!Gametheory.Vi.solve_extragradient}). [gamma] (default 0.25) is
+    the first step; later steps adapt to the local Lipschitz constant
+    of [u] (grow by 1.1, capped at 0.9 over the last step's estimate).
+    Slower than iterated best response on this game (it does not
+    exploit the one-dimensional structure of each player's problem)
+    but derivative-driven and sweep-free; used to cross-validate
+    equilibria and in the solver ablation benchmark. The returned
+    [sweeps] counts extragradient iterations. When the iteration
+    budget runs out, the result is the projected start [x0] with
+    [converged = false]. *)
 
 val kkt_residual : Subsidy_game.t -> subsidies:Numerics.Vec.t -> float
 (** Max complementarity violation of the Theorem-3 first-order

@@ -69,5 +69,5 @@ let revenue_curve ?phi_guess ?pool ?(chunk = 8) sys ~prices =
 
 let peak_revenue ?(p_max = 5.) sys =
   if p_max <= 0. then invalid_arg "One_sided.peak_revenue: p_max must be positive";
-  let r = Optimize.grid_then_golden ~points:65 (fun p -> revenue sys ~price:p) ~lo:0. ~hi:p_max in
+  let r = Optimize.grid_then_brent ~points:65 (fun p -> revenue sys ~price:p) ~lo:0. ~hi:p_max in
   (r.Optimize.x, r.Optimize.fx)

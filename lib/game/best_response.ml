@@ -64,7 +64,7 @@ let respond_derivative_free game i s =
   if lo = hi then lo
   else begin
     let payoff si = game.payoff i (with_coord s i si) in
-    let r = Optimize.grid_then_golden ~points:game.respond_points payoff ~lo ~hi in
+    let r = Optimize.grid_then_brent ~points:game.respond_points payoff ~lo ~hi in
     r.Optimize.x
   end
 

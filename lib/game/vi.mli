@@ -29,7 +29,14 @@ val solve_extragradient :
   x0:Numerics.Vec.t ->
   outcome
 (** Korpelevich extragradient iteration from [Proj_K x0], each step
-    [y = Proj_K (x - gamma F x)], [x' = Proj_K (x - gamma F y)].
-    Converges for monotone Lipschitz [F] with a small enough step
-    [gamma] (default 0.2). Running out of [max_iter] steps is reported
-    as [converged = false], not raised. *)
+    [y = Proj_K (x - g F x)], [x' = Proj_K (x - g F y)] with an
+    adaptive step [g]. [gamma] (default 0.2) is the first step; after
+    each step [g' = min (1.1 g, 0.9 |x - y| / |F x - F y|)] (Euclidean
+    norms), so the step grows while the local Lipschitz estimate of
+    the step just taken allows and falls to [0.9 / L] when it was too
+    long. The rule reads only [F x] and [F y], and [F x'] serves both
+    the convergence test and the next step: two evaluations of [F] per
+    step. Converges for monotone Lipschitz [F]. Running out of
+    [max_iter] steps is reported as [converged = false], not raised;
+    a step is reported as converged only when its {!residual} is at
+    most [max tol 1e-8]. *)

@@ -2,6 +2,7 @@
 let steps_c = Obs.Metrics.counter "continuation.steps"
 let accepts_c = Obs.Metrics.counter "continuation.predictor.accepts"
 let iters_c = Obs.Metrics.counter "continuation.corrector.iters"
+let scalar_iters_c = Obs.Metrics.counter "continuation.scalar.iters"
 let fallbacks_c = Obs.Metrics.counter "continuation.fallbacks"
 
 (* ------------------------------------------------------------------ *)
@@ -45,7 +46,7 @@ type correction =
 let correct ?tol ?max_iter ?ctx f_df ~x0 ~lo ~hi =
   match Robust.root_fused ?tol ?max_iter ?ctx f_df ~x0 ~lo ~hi with
   | Ok p ->
-    Obs.Metrics.incr ~by:(float_of_int p.Robust.iterations) iters_c;
+    Obs.Metrics.incr ~by:(float_of_int p.Robust.iterations) scalar_iters_c;
     Converged p
   | Error _ ->
     (* re-enter through the derivative-free chain: genuinely different
@@ -100,6 +101,7 @@ type stats = {
   steps : float;
   predictor_accepts : float;
   corrector_iterations : float;
+  scalar_iterations : float;
   fallbacks : float;
 }
 
@@ -108,6 +110,7 @@ let stats () =
     steps = Obs.Metrics.counter_value steps_c;
     predictor_accepts = Obs.Metrics.counter_value accepts_c;
     corrector_iterations = Obs.Metrics.counter_value iters_c;
+    scalar_iterations = Obs.Metrics.counter_value scalar_iters_c;
     fallbacks = Obs.Metrics.counter_value fallbacks_c;
   }
 
@@ -117,5 +120,5 @@ let stats_summary () =
   let s = stats () in
   Printf.sprintf
     "continuation: steps %.0f, predictor accepts %.0f, corrector iters %.0f, \
-     fallbacks %.0f"
-    s.steps s.predictor_accepts s.corrector_iterations s.fallbacks
+     scalar corrector iters %.0f, fallbacks %.0f"
+    s.steps s.predictor_accepts s.corrector_iterations s.scalar_iterations s.fallbacks

@@ -51,15 +51,15 @@ val correct :
   lo:float ->
   hi:float ->
   correction
-(** One corrector solve from the predicted [x0]. Iterations land in the
-    [continuation.corrector.iters] counter; entering the fallback chain
-    increments [continuation.fallbacks]. *)
+(** One scalar corrector solve from the predicted [x0]. Iterations land
+    in the [continuation.scalar.iters] counter; entering the fallback
+    chain increments [continuation.fallbacks]. *)
 
 val record_correction : iterations:int -> fell_back:bool -> unit
-(** Account a corrector that lives outside this module (e.g. a vector
-    Newton solve of a whole cell) on the same counters as {!correct}:
-    [iterations] land in [continuation.corrector.iters], and
-    [fell_back] increments [continuation.fallbacks]. *)
+(** Account a corrector of a whole cell (the vector Newton solve of
+    [Nash.correct]): [iterations] land in
+    [continuation.corrector.iters], and [fell_back] increments
+    [continuation.fallbacks]. *)
 
 (** {2 Cell driver} *)
 
@@ -86,7 +86,8 @@ val solve_cell :
 type stats = {
   steps : float;  (** cells driven through {!solve_cell} *)
   predictor_accepts : float;
-  corrector_iterations : float;
+  corrector_iterations : float;  (** whole-cell steps, {!record_correction} *)
+  scalar_iterations : float;  (** scalar steps of {!correct} *)
   fallbacks : float;  (** cold re-solves, both scalar and cell level *)
 }
 

@@ -118,9 +118,9 @@ let argmax_on_grid f xs =
   done;
   { x = xs.(!best); fx = values.(!best); iterations = 1; evaluations = Array.length xs }
 
-let grid_then_golden ?(points = 33) ?(tol = 1e-10) f ~lo ~hi =
-  check_interval "grid_then_golden" lo hi;
-  if points < 3 then invalid_arg "Optimize.grid_then_golden: need at least 3 points";
+let grid_then_brent ?(points = 33) ?(tol = 1e-10) f ~lo ~hi =
+  check_interval "grid_then_brent" lo hi;
+  if points < 3 then invalid_arg "Optimize.grid_then_brent: need at least 3 points";
   if hi -. lo <= tol then
     let x = 0.5 *. (lo +. hi) in
     { x; fx = f x; iterations = 0; evaluations = 1 }
@@ -133,7 +133,12 @@ let grid_then_golden ?(points = 33) ?(tol = 1e-10) f ~lo ~hi =
     let k = ref 0 in
     Array.iteri (fun i x -> if x = coarse.x then k := i) xs;
     let a = xs.(Stdlib.max 0 (!k - 1)) and b = xs.(Stdlib.min (points - 1) (!k + 1)) in
-    let refined = golden_section ~tol f ~lo:a ~hi:b in
+    (* brent_max stops once its bracket is at most 4 (rtol |x| + 1e-12)
+       wide, |x| <= max |a| |b|: this rtol keeps it within [tol] *)
+    let rtol =
+      Float.max 0. ((tol /. 4.) -. 1e-12) /. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+    in
+    let refined = brent_max ~tol:rtol f ~lo:a ~hi:b in
     let best = if refined.fx >= coarse.fx then refined else coarse in
     { best with evaluations = coarse.evaluations + refined.evaluations }
   end
@@ -154,7 +159,7 @@ let coordinate_ascent ?(tol = 1e-9) ?(max_sweeps = 200) ?points f ~lo ~hi ~x0 =
         x'.(i) <- xi;
         f x'
       in
-      let r = grid_then_golden ?points eval ~lo:lo.(i) ~hi:hi.(i) in
+      let r = grid_then_brent ?points eval ~lo:lo.(i) ~hi:hi.(i) in
       moved := Float.max !moved (Float.abs (r.x -. !x.(i)));
       !x.(i) <- r.x
     done;

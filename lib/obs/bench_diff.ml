@@ -20,8 +20,10 @@ type verdict = {
   metric : string;
   baseline : float;
   current : float;
+  floor : float;
   allowed : float;
   regressed : bool;
+  stale : bool;
 }
 
 type report = {
@@ -32,7 +34,8 @@ type report = {
 }
 
 let regressions r = List.filter (fun v -> v.regressed) r.verdicts
-let ok r = regressions r = []
+let stale r = List.filter (fun v -> v.stale) r.verdicts
+let ok r = regressions r = [] && stale r = []
 
 (* ------------------------------------------------------------------ *)
 (* record parsing *)
@@ -136,15 +139,19 @@ let diff ?(tolerance = default_tolerance) ~baseline ~current () =
     let only_in_current =
       List.filter (fun id -> not (List.mem id base_ids)) cur_ids
     in
-    let verdict figure metric ~rel ~abs b c =
+    (* seconds may fall freely; a deterministic count that falls out
+       of its band means the baseline no longer describes the code *)
+    let verdict ~two_sided figure metric ~rel ~abs b c =
       match (b, c) with
       | Some b, Some c when Float.is_finite b && Float.is_finite c ->
         let allowed = (b *. (1. +. rel)) +. abs in
+        let floor = if two_sided then (b *. (1. -. rel)) -. abs else neg_infinity in
         Some
-          { figure; metric; baseline = b; current = c; allowed;
-            regressed = c > allowed }
+          { figure; metric; baseline = b; current = c; floor; allowed;
+            regressed = c > allowed; stale = c < floor }
       | _ -> None
     in
+    let count = verdict ~two_sided:true in
     let verdicts =
       List.concat_map
         (fun id ->
@@ -152,21 +159,21 @@ let diff ?(tolerance = default_tolerance) ~baseline ~current () =
           let c = List.find (fun f -> f.id = id) cur_figs in
           List.filter_map Fun.id
             [
-              verdict id "seconds" ~rel:tolerance.seconds_rel
+              verdict ~two_sided:false id "seconds" ~rel:tolerance.seconds_rel
                 ~abs:tolerance.seconds_abs b.seconds c.seconds;
-              verdict id "root_calls" ~rel:tolerance.counts_rel
+              count id "root_calls" ~rel:tolerance.counts_rel
                 ~abs:tolerance.counts_abs b.root_calls c.root_calls;
-              verdict id "objective_evaluations" ~rel:tolerance.counts_rel
+              count id "objective_evaluations" ~rel:tolerance.counts_rel
                 ~abs:tolerance.counts_abs b.objective_evaluations
                 c.objective_evaluations;
               (* derivative-mix counters: a deriv_fd regression means a
                  code path fell back from exact AD to stencils *)
-              verdict id "deriv_fd" ~rel:tolerance.counts_rel
+              count id "deriv_fd" ~rel:tolerance.counts_rel
                 ~abs:tolerance.counts_abs b.deriv_fd c.deriv_fd;
               (* the memoized fig7-11 sweep, attributed to each consumer *)
-              verdict id "shared_root_calls" ~rel:tolerance.counts_rel
+              count id "shared_root_calls" ~rel:tolerance.counts_rel
                 ~abs:tolerance.counts_abs b.shared_root_calls c.shared_root_calls;
-              verdict id "shared_objective_evaluations" ~rel:tolerance.counts_rel
+              count id "shared_objective_evaluations" ~rel:tolerance.counts_rel
                 ~abs:tolerance.counts_abs b.shared_objective_evaluations
                 c.shared_objective_evaluations;
             ])
@@ -193,14 +200,16 @@ let table r =
           Printf.sprintf "%.6g" v.current;
           (if v.baseline > 0. then Printf.sprintf "%.2fx" (v.current /. v.baseline)
            else "-");
-          Printf.sprintf "%.6g" v.allowed;
-          (if v.regressed then "REGRESSED" else "ok");
+          (if Float.is_finite v.floor then Printf.sprintf "%.6g..%.6g" v.floor v.allowed
+           else Printf.sprintf "<= %.6g" v.allowed);
+          (if v.regressed then "REGRESSED" else if v.stale then "STALE" else "ok");
         ])
     r.verdicts;
   t
 
 let summary r =
-  let regs = regressions r in
+  let regs = regressions r and stale = stale r in
+  let named vs = String.concat ", " (List.map (fun v -> v.figure ^ "." ^ v.metric) vs) in
   let skew =
     (match r.only_in_baseline with
     | [] -> []
@@ -210,12 +219,12 @@ let summary r =
     | [] -> []
     | ids -> [ Printf.sprintf "new in current: %s" (String.concat "," ids) ]
   in
-  Printf.sprintf "bench compare: %d figures, %d checks, %d regressions%s%s"
+  Printf.sprintf "bench compare: %d figures, %d checks, %d regressions%s%s%s"
     (List.length r.compared) (List.length r.verdicts) (List.length regs)
-    (if regs = [] then ""
+    (if regs = [] then "" else " (" ^ named regs ^ ")")
+    (if stale = [] then ""
      else
-       " ("
-       ^ String.concat ", "
-           (List.map (fun v -> v.figure ^ "." ^ v.metric) regs)
-       ^ ")")
+       Printf.sprintf
+         ", %d counts below their band (%s): the baseline is stale, regenerate it"
+         (List.length stale) (named stale))
     (match skew with [] -> "" | s -> "; " ^ String.concat "; " s)

@@ -5,9 +5,13 @@
     tolerance bands, so `bench --compare OLD.json` — and the CI job
     built on it — can fail a build that made the solver slower.
 
-    Only regressions (current above the allowed band) fail; a figure
-    getting {e faster} never does.  Figures present in one record only
-    are reported but are not regressions — CI may bench a subset. *)
+    Seconds fail only upwards: a figure getting {e faster} never
+    fails.  Solver work counts are deterministic, so their band is
+    two-sided: a count above it is a regression, and a count below it
+    means the baseline is stale (the code does less work than the
+    record says) and fails too, until the baseline is regenerated.
+    Figures present in one record only are reported but are not
+    regressions — CI may bench a subset. *)
 
 type tolerance = {
   seconds_rel : float;  (** relative slack on wall-clock seconds *)
@@ -18,15 +22,18 @@ type tolerance = {
 
 val default_tolerance : tolerance
 (** Seconds: 50% + 0.1s (wall-clock is noisy); counts: 2% + 64 calls
-    (deterministic, so tight).  [allowed = baseline*(1+rel) + abs]. *)
+    (deterministic, so tight).  [allowed = baseline*(1+rel) + abs];
+    for counts also [floor = baseline*(1-rel) - abs]. *)
 
 type verdict = {
   figure : string;
   metric : string;
   baseline : float;
   current : float;
-  allowed : float;
-  regressed : bool;
+  floor : float;  (** lowest passing value; [neg_infinity] for seconds *)
+  allowed : float;  (** highest passing value *)
+  regressed : bool;  (** [current > allowed] *)
+  stale : bool;  (** [current < floor]: the baseline needs regenerating *)
 }
 
 type report = {
@@ -46,7 +53,12 @@ val diff :
     missing or non-finite on either side are skipped, not failed. *)
 
 val regressions : report -> verdict list
+
+val stale : report -> verdict list
+(** Counts that fell below their band. *)
+
 val ok : report -> bool
+(** No regression and no stale count. *)
 
 val load_file : path:string -> (Json.t, string) result
 (** Read and parse a record; [Error] carries the I/O or parse message. *)
@@ -56,7 +68,9 @@ val scale_seconds : Json.t -> by:(string * float) list -> Json.t
     `--inject-slowdown` self-test that proves the gate can fire. *)
 
 val table : report -> Report.Table.t
-(** One row per verdict: baseline, current, ratio, allowed, verdict. *)
+(** One row per verdict: baseline, current, ratio, allowed band,
+    verdict. *)
 
 val summary : report -> string
-(** One line: figure/check/regression counts plus any id skew. *)
+(** One line: figure/check/regression counts, any stale counts, plus
+    any id skew. *)

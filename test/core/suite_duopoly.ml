@@ -72,6 +72,32 @@ let test_sharper_eta_stronger_competition () =
   let avg (m : Duopoly.market) = 0.5 *. (fst m.Duopoly.prices +. snd m.Duopoly.prices) in
   check_true "more price-sensitive users, lower prices" (avg sharp < avg soft +. 1e-6)
 
+(* every revenue evaluation of the price game is one market solve, and
+   with cap > 0 each market solve runs the CP game's best response
+   once more; the price game's own best response is the one left over *)
+let test_price_equilibrium_evaluation_budget () =
+  Obs.Trace.clear ();
+  Obs.Trace.set_enabled true;
+  let m =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled false)
+      (fun () -> Duopoly.price_equilibrium (duopoly ~cap:1. ()))
+  in
+  let solves =
+    List.length
+      (List.filter (fun sp -> sp.Obs.Trace.name = "best_response.solve") (Obs.Trace.spans ()))
+  in
+  Obs.Trace.clear ();
+  check_true "no span dropped" (Obs.Trace.dropped () = 0);
+  let evaluations = solves - 2 (* the price game itself and the returned market *) in
+  check_true
+    (Printf.sprintf "%d revenue evaluations <= 500" evaluations)
+    (evaluations <= 500);
+  (* the duopoly table's q = 1 row *)
+  let pa, pb = m.Duopoly.prices in
+  check_close ~tol:5e-4 "pA" 0.858 pa;
+  check_close ~tol:5e-4 "pB" 0.622 pb
+
 let suite =
   ( "duopoly",
     [
@@ -83,4 +109,5 @@ let suite =
       quick "revenue definition" test_revenues_definition;
       quick "competition vs monopoly" test_price_competition_beats_monopoly;
       quick "eta effect" test_sharper_eta_stronger_competition;
+      quick "price game evaluation budget" test_price_equilibrium_evaluation_budget;
     ] )

@@ -75,7 +75,11 @@ let test_optimal_price_matches_golden_search () =
         Revenue.at_equilibrium g (Nash.solve g)
       in
       let golden =
-        Numerics.Optimize.grid_then_golden ~points:49 ~tol:1e-7 revenue_at ~lo:0. ~hi:2.5
+        let h = 2.5 /. 48. in
+        let scan = Numerics.Optimize.argmax_on_grid revenue_at (Numerics.Grid.linspace 0. 2.5 49) in
+        let x = scan.Numerics.Optimize.x in
+        Numerics.Optimize.golden_section ~tol:1e-7 revenue_at ~lo:(Float.max 0. (x -. h))
+          ~hi:(Float.min 2.5 (x +. h))
       in
       let name = Printf.sprintf "q=%g" cap in
       check_close ~tol:1e-5 (name ^ ": p* = golden argmax") golden.Numerics.Optimize.x p_star;

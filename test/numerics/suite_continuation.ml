@@ -60,7 +60,8 @@ let test_correct_converged_and_fallback () =
   | Continuation.Converged _ -> Alcotest.fail "max_iter 0 cannot converge"
   | Continuation.Failed _ -> Alcotest.fail "fallback chain must succeed");
   let s = Continuation.stats () in
-  check_true "corrector iterations recorded" (s.Continuation.corrector_iterations > 0.);
+  check_true "scalar iterations recorded" (s.Continuation.scalar_iterations > 0.);
+  check_close ~tol:0. "no whole-cell corrector step" 0. s.Continuation.corrector_iterations;
   check_close ~tol:0. "one fallback recorded" 1. s.Continuation.fallbacks
 
 let test_predict_secant () =

@@ -631,6 +631,31 @@ let test_bench_diff_counts_and_skew () =
     check_true "summary mentions skew"
       (contains (Obs.Bench_diff.summary report) "gone")
 
+let test_bench_diff_stale_baseline () =
+  let baseline = bench_record [ ("fig4", 1.0, 1000., 5e4); ("fig7", 2.0, 2000., 9e4) ] in
+  (* fig7 does a third less solver work and runs faster *)
+  let current = bench_record [ ("fig4", 1.0, 1000., 5e4); ("fig7", 0.5, 1300., 9e4) ] in
+  match Obs.Bench_diff.diff ~baseline ~current () with
+  | Error msg -> Alcotest.fail msg
+  | Ok report ->
+    check_true "a count below its band fails the gate" (not (Obs.Bench_diff.ok report));
+    Alcotest.(check int) "not a regression" 0
+      (List.length (Obs.Bench_diff.regressions report));
+    (match Obs.Bench_diff.stale report with
+    | [ v ] ->
+      Alcotest.(check string) "figure" "fig7" v.Obs.Bench_diff.figure;
+      Alcotest.(check string) "metric" "root_calls" v.Obs.Bench_diff.metric;
+      check_true "below the floor" (v.Obs.Bench_diff.current < v.Obs.Bench_diff.floor)
+    | vs -> Alcotest.failf "expected one stale count, got %d" (List.length vs));
+    check_true "table marks it" (contains (Report.Table.to_string (Obs.Bench_diff.table report)) "STALE");
+    check_true "summary asks for a new baseline"
+      (contains (Obs.Bench_diff.summary report) "regenerate");
+    (* inside the band either way is fine *)
+    let near = bench_record [ ("fig4", 1.0, 990., 5e4); ("fig7", 2.0, 1990., 9e4) ] in
+    match Obs.Bench_diff.diff ~baseline ~current:near () with
+    | Ok r -> check_true "a fall inside the band passes" (Obs.Bench_diff.ok r)
+    | Error msg -> Alcotest.fail msg
+
 let test_bench_diff_errors () =
   (match Obs.Bench_diff.diff ~baseline:(Obs.Json.Obj []) ~current:(bench_record []) () with
   | Error _ -> ()
@@ -882,6 +907,7 @@ let () =
           quick "identical records pass" test_bench_diff_identical;
           quick "2x slowdown detected" test_bench_diff_detects_slowdown;
           quick "count regressions and id skew" test_bench_diff_counts_and_skew;
+          quick "count below its band: stale baseline" test_bench_diff_stale_baseline;
           quick "malformed inputs are errors" test_bench_diff_errors;
         ] );
       ( "trace",
